@@ -9,14 +9,13 @@ package repro
 //	go test -bench=. -benchmem .
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
+	"repro/ftsim"
 	"repro/internal/campaign"
-	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/experiments"
-	"repro/internal/fault"
 	"repro/internal/funcsim"
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -26,15 +25,30 @@ import (
 // benchInsts is the committed-instruction budget per simulated run.
 const benchInsts = 20_000
 
-func runOnce(b *testing.B, p workload.Profile, cfg core.Config) *cpu.Stats {
+// benchMachine builds a machine from opts (a model option first) with
+// the benchmark run limits.
+func benchMachine(b *testing.B, opts ...ftsim.Option) *ftsim.Machine {
 	b.Helper()
-	program, err := p.Build(1 << 32)
+	m, err := ftsim.New(append(opts, ftsim.WithMaxInsts(benchInsts), ftsim.WithMaxCycles(benchInsts*200))...)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg.MaxInsts = benchInsts
-	cfg.MaxCycles = benchInsts * 200
-	st, err := core.Run(program, cfg)
+	return m
+}
+
+// benchProgram builds one of the Table 2 benchmarks.
+func benchProgram(b *testing.B, name string) *ftsim.Program {
+	b.Helper()
+	p, err := ftsim.Benchmark(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return p
+}
+
+func runOnce(b *testing.B, m *ftsim.Machine, p *ftsim.Program) *ftsim.Stats {
+	b.Helper()
+	st, err := m.Run(context.Background(), p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -91,21 +105,22 @@ func benchAnalytic(b *testing.B, rw float64) {
 // "ipc" metric is the reproduced bar height.
 func BenchmarkFig5SteadyState(b *testing.B) {
 	models := []struct {
-		name string
-		cfg  func() core.Config
+		name  string
+		model ftsim.Model
 	}{
-		{"SS-1", core.SS1},
-		{"Static-2", core.Static2},
-		{"SS-2", core.SS2},
+		{"SS-1", ftsim.ModelSS1},
+		{"Static-2", ftsim.ModelStatic2},
+		{"SS-2", ftsim.ModelSS2},
 	}
-	for _, p := range workload.Table2() {
-		for _, m := range models {
-			p, m := p, m
-			b.Run(p.Name+"/"+m.name, func(b *testing.B) {
+	for _, name := range ftsim.Benchmarks() {
+		for _, mo := range models {
+			b.Run(name+"/"+mo.name, func(b *testing.B) {
+				p := benchProgram(b, name)
+				m := benchMachine(b, ftsim.WithModel(mo.model))
+				b.ResetTimer()
 				var ipc float64
 				for i := 0; i < b.N; i++ {
-					st := runOnce(b, p, m.cfg())
-					ipc = st.IPC()
+					ipc = runOnce(b, m, p).IPC()
 				}
 				b.ReportMetric(ipc, "ipc")
 			})
@@ -116,21 +131,20 @@ func BenchmarkFig5SteadyState(b *testing.B) {
 // BenchmarkFig6FaultSweep regenerates Figure 6: simulated IPC of the R=2
 // and R=3-majority designs under increasing fault frequency (fpppp).
 func BenchmarkFig6FaultSweep(b *testing.B) {
-	p, _ := workload.ByName("fpppp")
 	rates := []float64{0, 100, 1000, 10_000, 50_000} // faults per M copies
 	for _, rate := range rates {
-		rate := rate
 		for _, mk := range []struct {
-			name string
-			cfg  func() core.Config
-		}{{"R2", core.SS2}, {"R3maj", core.SS3}} {
-			mk := mk
+			name  string
+			model ftsim.Model
+		}{{"R2", ftsim.ModelSS2}, {"R3maj", ftsim.ModelSS3}} {
 			b.Run(fmt.Sprintf("%s/faultsPerM=%.0f", mk.name, rate), func(b *testing.B) {
+				p := benchProgram(b, "fpppp")
+				m := benchMachine(b, ftsim.WithModel(mk.model), ftsim.WithFaultRate(rate/1e6),
+					ftsim.WithFaultSeed(9), ftsim.WithFaultTargets(ftsim.AllFaultTargets()...))
+				b.ResetTimer()
 				var ipc, rewinds float64
 				for i := 0; i < b.N; i++ {
-					cfg := mk.cfg()
-					cfg.Fault = fault.Config{Rate: rate / 1e6, Seed: 9, Targets: fault.AllTargets}
-					st := runOnce(b, p, cfg)
+					st := runOnce(b, m, p)
 					ipc = st.IPC()
 					rewinds = float64(st.FaultRewinds)
 				}
@@ -146,18 +160,21 @@ func BenchmarkFig6FaultSweep(b *testing.B) {
 // (fpppp), an ILP-limited one (go) and the divide-bound ammp.
 func BenchmarkSensitivity(b *testing.B) {
 	for _, name := range []string{"fpppp", "go", "ammp"} {
-		p, _ := workload.ByName(name)
 		b.Run(name, func(b *testing.B) {
+			p := benchProgram(b, name)
+			ss1 := benchMachine(b, ftsim.SS1())
+			doubled := benchMachine(b, ftsim.SS1(), ftsim.WithPipeline(func(c *ftsim.PipelineConfig) {
+				c.IntALU *= 2
+				c.IntMult *= 2
+				c.FPAdd *= 2
+				c.FPMult *= 2
+				c.MemPorts *= 2
+			}))
+			b.ResetTimer()
 			var base, fu2 float64
 			for i := 0; i < b.N; i++ {
-				base = runOnce(b, p, core.SS1()).IPC()
-				cfg := core.SS1()
-				cfg.CPU.IntALU *= 2
-				cfg.CPU.IntMult *= 2
-				cfg.CPU.FPAdd *= 2
-				cfg.CPU.FPMult *= 2
-				cfg.CPU.MemPorts *= 2
-				fu2 = runOnce(b, p, cfg).IPC()
+				base = runOnce(b, ss1, p).IPC()
+				fu2 = runOnce(b, doubled, p).IPC()
 			}
 			b.ReportMetric(base, "ipc-base")
 			b.ReportMetric(100*(fu2/base-1), "fu2x-gain%")
@@ -168,15 +185,18 @@ func BenchmarkSensitivity(b *testing.B) {
 // BenchmarkAblateCoSchedule measures the Section 3.5 co-scheduling
 // option's throughput effect on SS-2.
 func BenchmarkAblateCoSchedule(b *testing.B) {
-	p, _ := workload.ByName("gcc")
 	for _, cosched := range []bool{false, true} {
-		cosched := cosched
 		b.Run(fmt.Sprintf("cosched=%v", cosched), func(b *testing.B) {
+			p := benchProgram(b, "gcc")
+			opts := []ftsim.Option{ftsim.SS2()}
+			if cosched {
+				opts = append(opts, ftsim.WithCoSchedule())
+			}
+			m := benchMachine(b, opts...)
+			b.ResetTimer()
 			var ipc float64
 			for i := 0; i < b.N; i++ {
-				cfg := core.SS2()
-				cfg.CoSchedule = cosched
-				ipc = runOnce(b, p, cfg).IPC()
+				ipc = runOnce(b, m, p).IPC()
 			}
 			b.ReportMetric(ipc, "ipc")
 		})
@@ -186,19 +206,16 @@ func BenchmarkAblateCoSchedule(b *testing.B) {
 // BenchmarkAblateCommitWidth measures the commit-bandwidth tax of
 // replication (Section 3.2) as the provisioned width varies.
 func BenchmarkAblateCommitWidth(b *testing.B) {
-	p, _ := workload.ByName("gcc")
 	for _, w := range []int{4, 8, 16} {
-		w := w
 		b.Run(fmt.Sprintf("width=%d", w), func(b *testing.B) {
+			p := benchProgram(b, "gcc")
+			width := ftsim.WithPipeline(func(c *ftsim.PipelineConfig) { c.CommitWidth = w })
+			ss1 := benchMachine(b, ftsim.SS1(), width)
+			ss2 := benchMachine(b, ftsim.SS2(), width)
+			b.ResetTimer()
 			var ratio float64
 			for i := 0; i < b.N; i++ {
-				c1 := core.SS1()
-				c1.CPU.CommitWidth = w
-				c2 := core.SS2()
-				c2.CPU.CommitWidth = w
-				ipc1 := runOnce(b, p, c1).IPC()
-				ipc2 := runOnce(b, p, c2).IPC()
-				ratio = ipc2 / ipc1
+				ratio = runOnce(b, ss2, p).IPC() / runOnce(b, ss1, p).IPC()
 			}
 			b.ReportMetric(ratio, "ss2/ss1")
 		})
@@ -247,39 +264,27 @@ func BenchmarkCampaign(b *testing.B) {
 // "simCycles/s" metric is the one a scheduling regression moves; it is
 // independent of campaign-engine overhead.
 func BenchmarkPipelineHot(b *testing.B) {
-	p, _ := workload.ByName("gcc")
-	program, err := p.Build(1 << 32)
-	if err != nil {
-		b.Fatal(err)
-	}
+	p := benchProgram(b, "gcc")
 	cases := []struct {
-		name string
-		r    int
-		ruu  int
+		name  string
+		model ftsim.Model
+		ruu   int
 	}{
-		{"R1/RUU64", 1, 64},
-		{"R1/RUU256", 1, 256},
-		{"R3/RUU64", 3, 64},
-		{"R3/RUU256", 3, 256},
+		{"R1/RUU64", ftsim.ModelSS1, 64},
+		{"R1/RUU256", ftsim.ModelSS1, 256},
+		{"R3/RUU64", ftsim.ModelSS3, 64},
+		{"R3/RUU256", ftsim.ModelSS3, 256},
 	}
 	for _, c := range cases {
-		c := c
 		b.Run(c.name, func(b *testing.B) {
+			m := benchMachine(b, ftsim.WithModel(c.model), ftsim.WithPipeline(func(pc *ftsim.PipelineConfig) {
+				pc.RUUSize = c.ruu
+				pc.LSQSize = c.ruu / 2
+			}))
+			b.ResetTimer()
 			var cycles uint64
 			for i := 0; i < b.N; i++ {
-				cfg := core.SS1()
-				if c.r == 3 {
-					cfg = core.SS3()
-				}
-				cfg.CPU.RUUSize = c.ruu
-				cfg.CPU.LSQSize = c.ruu / 2
-				cfg.MaxInsts = benchInsts
-				cfg.MaxCycles = benchInsts * 200
-				st, err := core.Run(program, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles += st.Cycles
+				cycles += runOnce(b, m, p).Cycles
 			}
 			b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "simCycles/s")
 		})
@@ -290,22 +295,12 @@ func BenchmarkPipelineHot(b *testing.B) {
 // instructions per second of wall time (not a paper artifact, but the
 // number that bounds experiment turnaround).
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	p, _ := workload.ByName("bzip")
-	program, err := p.Build(1 << 32)
-	if err != nil {
-		b.Fatal(err)
-	}
+	p := benchProgram(b, "bzip")
+	m := benchMachine(b, ftsim.SS1())
 	b.ResetTimer()
 	total := uint64(0)
 	for i := 0; i < b.N; i++ {
-		cfg := core.SS1()
-		cfg.MaxInsts = benchInsts
-		cfg.MaxCycles = benchInsts * 200
-		st, err := core.Run(program, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		total += st.Committed
+		total += runOnce(b, m, p).Committed
 	}
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "simInsts/s")
 }

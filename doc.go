@@ -6,12 +6,12 @@
 // functional-options builder over serializable machine configs,
 // context-aware sessions, streaming progress observers and a typed
 // error taxonomy. The implementation lives under internal/: package
-// core implements the paper's fault-tolerant superscalar (redundant
+// cpu implements the paper's fault-tolerant superscalar (redundant
 // instruction injection, commit-stage cross-checking, rewind recovery
-// and majority election) on top of the out-of-order datapath in
-// package cpu; packages isa, asm, mem, prog, cache, bpred, ecc,
-// funcsim, fault, model, workload, stats, campaign and experiments
-// provide the ISA, tooling, substrates and evaluation drivers. See
+// and majority election) in its out-of-order datapath; packages isa,
+// asm, mem, prog, cache, bpred, ecc, funcsim, fault, model, workload,
+// stats, campaign and experiments provide the ISA, tooling, substrates
+// and evaluation drivers. See
 // README.md, DESIGN.md and EXPERIMENTS.md.
 //
 // The benchmarks in this directory (bench_test.go) regenerate every

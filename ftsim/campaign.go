@@ -151,8 +151,8 @@ func WithTrialTimeout(d time.Duration) CampaignOption {
 
 // WithRetry re-attempts retryable trial failures (ErrTransient,
 // ErrTrialTimeout) up to retries additional times, waiting backoff
-// before the first retry and doubling it for each subsequent one
-// (backoff <= 0 selects a 50ms default).
+// before the first retry and doubling it for each subsequent one, up
+// to 2s (backoff <= 0 selects a 50ms default).
 func WithRetry(retries int, backoff time.Duration) CampaignOption {
 	return func(o *campaignOpts) { o.retries = retries; o.backoff = backoff }
 }

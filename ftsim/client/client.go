@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/ftsim/api"
+	"repro/internal/backoff"
 )
 
 // Client talks to one ftsimd daemon. The zero value is not usable;
@@ -67,9 +68,6 @@ func (c *Client) setHeaders(req *http.Request) {
 	}
 }
 
-// maxRetryBackoff caps the exponential retry wait.
-const maxRetryBackoff = 2 * time.Second
-
 // transientError reports whether a do() failure is worth retrying:
 // the request never got a verdict (transport error) or the daemon
 // itself was the problem (5xx) or explicitly asked for later (429).
@@ -88,22 +86,14 @@ func transientError(err error) bool {
 // exponential backoff. Error responses decode the service's JSON error
 // body into the returned error.
 func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
-	backoff := c.RetryBackoff
-	if backoff <= 0 {
-		backoff = 100 * time.Millisecond
-	}
+	wait := backoff.New(c.RetryBackoff, 100*time.Millisecond)
 	for attempt := 0; ; attempt++ {
 		err := c.doOnce(ctx, method, path, body, out)
 		if err == nil || attempt >= c.Retries || !transientError(err) {
 			return err
 		}
-		select {
-		case <-ctx.Done():
+		if !wait.Wait(ctx) {
 			return err
-		case <-time.After(backoff):
-		}
-		if backoff *= 2; backoff > maxRetryBackoff {
-			backoff = maxRetryBackoff
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/bpred"
 	"repro/internal/cache"
-	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/fault"
 	"repro/internal/isa"
@@ -184,28 +183,27 @@ type Config struct {
 	BranchPred BranchPredConfig `json:"branch_pred,omitzero"`
 }
 
+// presets are the paper's machine models. Each differs from the others
+// only in its redundancy policy and, for Static-2, in the halved
+// datapath that Normalized fills in for it.
+var presets = map[Model]Config{
+	ModelSS1:       {R: 1},
+	ModelSS2:       {R: 2},
+	ModelSS3:       {R: 3, Majority: true},
+	ModelSS3Rewind: {R: 3},
+	ModelStatic2:   {R: 1},
+}
+
 // Config returns the named paper machine's full configuration, with
 // every field explicit. Unknown models yield a config that fails
 // Validate with ErrUnknownModel.
 func (m Model) Config() Config {
-	var c core.Config
-	switch m {
-	case ModelSS1:
-		c = core.SS1()
-	case ModelSS2:
-		c = core.SS2()
-	case ModelSS3:
-		c = core.SS3()
-	case ModelSS3Rewind:
-		c = core.SS3Rewind()
-	case ModelStatic2:
-		c = core.Static2()
-	default:
-		return Config{Model: m}
+	c, ok := presets[m]
+	c.Model = m
+	if !ok {
+		return c
 	}
-	cfg := fromCore(c)
-	cfg.Model = m
-	return cfg.Normalized()
+	return c.Normalized()
 }
 
 // Normalized returns a copy with omitted sections filled in: a zero
@@ -223,12 +221,30 @@ func (c Config) Normalized() Config {
 		if c.Model == ModelStatic2 {
 			base = cpu.Halved()
 		}
-		ref := fromCore(core.Config{CPU: base})
 		if c.Pipeline == (PipelineConfig{}) {
-			c.Pipeline = ref.Pipeline
+			c.Pipeline = PipelineConfig{
+				FetchWidth:      base.FetchWidth,
+				FetchQueue:      base.FetchQueue,
+				RedirectPenalty: base.RedirectPenalty,
+				DispatchWidth:   base.DispatchWidth,
+				IssueWidth:      base.IssueWidth,
+				CommitWidth:     base.CommitWidth,
+				RUUSize:         base.RUUSize,
+				LSQSize:         base.LSQSize,
+				IntALU:          base.IntALU,
+				IntMult:         base.IntMult,
+				FPAdd:           base.FPAdd,
+				FPMult:          base.FPMult,
+				MemPorts:        base.MemPorts,
+			}
 		}
 		if c.Memory == (MemoryConfig{}) {
-			c.Memory = ref.Memory
+			c.Memory = MemoryConfig{
+				IL1:     fromCache(base.Hierarchy.IL1),
+				DL1:     fromCache(base.Hierarchy.DL1),
+				L2:      fromCache(base.Hierarchy.L2),
+				Latency: base.Hierarchy.MemLatency,
+			}
 		}
 	}
 	if c.BranchPred == (BranchPredConfig{}) {
@@ -272,8 +288,7 @@ func (c Config) Validate() error {
 	}
 
 	if c.Model != "" {
-		if _, ok := map[Model]bool{ModelSS1: true, ModelSS2: true, ModelSS3: true,
-			ModelSS3Rewind: true, ModelStatic2: true}[c.Model]; !ok {
+		if _, ok := presets[c.Model]; !ok {
 			bad("model", fmt.Sprintf("%q is not a known machine model", c.Model), ErrUnknownModel)
 		}
 	}
@@ -411,20 +426,6 @@ func (t FaultTarget) target() (fault.Target, error) {
 	return 0, fmt.Errorf("unknown fault target %q", string(t))
 }
 
-func fromTarget(t fault.Target) FaultTarget {
-	switch t {
-	case fault.TargetResult:
-		return FaultResult
-	case fault.TargetAddress:
-		return FaultAddress
-	case fault.TargetResident:
-		return FaultResident
-	case fault.TargetBranch:
-		return FaultBranch
-	}
-	return FaultTarget(t.String())
-}
-
 func poolByName(name string) (isa.Pool, error) {
 	switch name {
 	case "int-alu":
@@ -439,22 +440,6 @@ func poolByName(name string) (isa.Pool, error) {
 		return isa.PoolMemPort, nil
 	}
 	return isa.PoolNone, fmt.Errorf("unknown functional-unit pool %q", name)
-}
-
-func poolName(p isa.Pool) string {
-	switch p {
-	case isa.PoolIntALU:
-		return "int-alu"
-	case isa.PoolIntMult:
-		return "int-mult"
-	case isa.PoolFPAdd:
-		return "fp-add"
-	case isa.PoolFPMult:
-		return "fp-mult"
-	case isa.PoolMemPort:
-		return "mem-port"
-	}
-	return p.String()
 }
 
 func fromCache(c cache.Config) CacheConfig {
@@ -479,108 +464,4 @@ func (b BranchPredConfig) toBpred() bpred.Config {
 		HistBits: b.HistBits, L2Size: b.L2Size, XOR: b.XOR, MetaSize: b.MetaSize,
 		BTBSets: b.BTBSets, BTBWays: b.BTBWays, RASSize: b.RASSize,
 	}
-}
-
-// fromCore translates an implementation-layer configuration into the
-// public serializable form.
-func fromCore(c core.Config) Config {
-	cfg := Config{
-		Name:              c.CPU.Name,
-		R:                 c.R,
-		Majority:          c.Majority,
-		MajorityThreshold: c.MajorityThreshold,
-		CoSchedule:        c.CoSchedule,
-		TransformOperands: c.TransformOperands,
-		RecoveryPenalty:   c.RecoveryPenalty,
-		Oracle:            c.Oracle,
-		MaxInsts:          c.MaxInsts,
-		MaxCycles:         c.MaxCycles,
-		Pipeline: PipelineConfig{
-			FetchWidth:      c.CPU.FetchWidth,
-			FetchQueue:      c.CPU.FetchQueue,
-			RedirectPenalty: c.CPU.RedirectPenalty,
-			DispatchWidth:   c.CPU.DispatchWidth,
-			IssueWidth:      c.CPU.IssueWidth,
-			CommitWidth:     c.CPU.CommitWidth,
-			RUUSize:         c.CPU.RUUSize,
-			LSQSize:         c.CPU.LSQSize,
-			IntALU:          c.CPU.IntALU,
-			IntMult:         c.CPU.IntMult,
-			FPAdd:           c.CPU.FPAdd,
-			FPMult:          c.CPU.FPMult,
-			MemPorts:        c.CPU.MemPorts,
-		},
-		Memory: MemoryConfig{
-			IL1:     fromCache(c.CPU.Hierarchy.IL1),
-			DL1:     fromCache(c.CPU.Hierarchy.DL1),
-			L2:      fromCache(c.CPU.Hierarchy.L2),
-			Latency: c.CPU.Hierarchy.MemLatency,
-		},
-		BranchPred: fromBpred(c.CPU.Bpred),
-	}
-	if c.Fault.Rate != 0 || c.Fault.Seed != 0 || len(c.Fault.Targets) != 0 {
-		cfg.Fault = FaultConfig{Rate: c.Fault.Rate, Seed: c.Fault.Seed}
-		for _, t := range c.Fault.Targets {
-			cfg.Fault.Targets = append(cfg.Fault.Targets, fromTarget(t))
-		}
-	}
-	if c.Persistent != nil {
-		cfg.Persistent = &PersistentFault{Pool: poolName(c.Persistent.Pool), Unit: c.Persistent.Unit, Bit: c.Persistent.Bit}
-	}
-	return cfg
-}
-
-// coreConfig translates the public configuration into the
-// implementation layer's core.Config. The caller must have validated c.
-func (c Config) coreConfig() (core.Config, error) {
-	out := core.Config{
-		R:                 c.R,
-		Majority:          c.Majority,
-		MajorityThreshold: c.MajorityThreshold,
-		CoSchedule:        c.CoSchedule,
-		TransformOperands: c.TransformOperands,
-		RecoveryPenalty:   c.RecoveryPenalty,
-		Oracle:            c.Oracle,
-		MaxInsts:          c.MaxInsts,
-		MaxCycles:         c.MaxCycles,
-	}
-	out.CPU.Name = c.Name
-	p := c.Pipeline
-	out.CPU.FetchWidth = p.FetchWidth
-	out.CPU.FetchQueue = p.FetchQueue
-	out.CPU.RedirectPenalty = p.RedirectPenalty
-	out.CPU.DispatchWidth = p.DispatchWidth
-	out.CPU.IssueWidth = p.IssueWidth
-	out.CPU.CommitWidth = p.CommitWidth
-	out.CPU.RUUSize = p.RUUSize
-	out.CPU.LSQSize = p.LSQSize
-	out.CPU.IntALU = p.IntALU
-	out.CPU.IntMult = p.IntMult
-	out.CPU.FPAdd = p.FPAdd
-	out.CPU.FPMult = p.FPMult
-	out.CPU.MemPorts = p.MemPorts
-	out.CPU.Hierarchy = cache.HierarchyConfig{
-		IL1:        c.Memory.IL1.toCache("il1"),
-		DL1:        c.Memory.DL1.toCache("dl1"),
-		L2:         c.Memory.L2.toCache("ul2"),
-		MemLatency: c.Memory.Latency,
-	}
-	out.CPU.Bpred = c.BranchPred.toBpred()
-
-	out.Fault = fault.Config{Rate: c.Fault.Rate, Seed: c.Fault.Seed}
-	for _, t := range c.Fault.Targets {
-		ft, err := t.target()
-		if err != nil {
-			return core.Config{}, &ConfigError{Field: "fault.targets", Reason: err.Error()}
-		}
-		out.Fault.Targets = append(out.Fault.Targets, ft)
-	}
-	if c.Persistent != nil {
-		pool, err := poolByName(c.Persistent.Pool)
-		if err != nil {
-			return core.Config{}, &ConfigError{Field: "persistent.pool", Reason: err.Error()}
-		}
-		out.Persistent = &fault.Persistent{Pool: pool, Unit: c.Persistent.Unit, Bit: c.Persistent.Bit}
-	}
-	return out, nil
 }

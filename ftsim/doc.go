@@ -46,8 +46,8 @@
 // ErrFaultEscape (post-run audit via CheckEscapes). Cancellation
 // surfaces as the context's own error.
 //
-// The facade delegates to the internal implementation packages without
-// translation; its results are byte-identical to the legacy internal
-// path, which the package's equivalence tests prove across the Table 2
-// workloads.
+// The facade lowers a Config straight to the datapath's configuration
+// and returns the datapath's own statistics, without translation. A
+// golden file pins the results of every preset on every Table 2
+// workload.
 package ftsim

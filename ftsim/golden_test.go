@@ -53,9 +53,28 @@ func machineFingerprint(t *testing.T, m *ftsim.Machine, p *ftsim.Program) string
 // on every Table 2 workload, with and without fault injection, to
 // digests recorded in testdata/golden/stats.json. Any change to how a
 // configuration reaches the datapath that moves a single Stats counter
-// or a preset's fingerprint fails here. Run with -update to regenerate
-// after an intentional change of results.
+// or a preset's fingerprint fails here, printing the digest it got.
+// Run with -update to regenerate after an intentional change of
+// results.
 func TestStatsGolden(t *testing.T) {
+	path := filepath.Join("testdata", "golden", "stats.json")
+	var want statsGolden
+	if !*update {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (run `go test ./ftsim -run TestStatsGolden -update` to create)", err)
+		}
+		if err := json.Unmarshal(data, &want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(t *testing.T, what, got, golden string) {
+		t.Helper()
+		if !*update && got != golden {
+			t.Errorf("%s: got %s, golden %s", what, got, golden)
+		}
+	}
+
 	got := statsGolden{Fingerprints: map[ftsim.Model]string{}, Stats: map[string]string{}}
 	for _, bench := range ftsim.Benchmarks() {
 		p, err := ftsim.Benchmark(bench)
@@ -63,40 +82,42 @@ func TestStatsGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, model := range ftsim.Models() {
-			for _, faulty := range []bool{false, true} {
-				opts := []ftsim.Option{ftsim.WithModel(model),
-					ftsim.WithMaxInsts(goldenInsts), ftsim.WithMaxCycles(goldenInsts * 100)}
-				key := bench + "/" + string(model)
-				if faulty {
-					opts = append(opts, ftsim.WithFaultRate(goldenFaultRate),
-						ftsim.WithFaultSeed(goldenFaultSeed),
-						ftsim.WithFaultTargets(ftsim.AllFaultTargets()...))
-					key += "/faults"
-				}
-				m, err := ftsim.New(opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !faulty {
-					if _, ok := got.Fingerprints[model]; !ok {
-						got.Fingerprints[model] = machineFingerprint(t, m, p)
+			t.Run(bench+"/"+string(model), func(t *testing.T) {
+				for _, faulty := range []bool{false, true} {
+					opts := []ftsim.Option{ftsim.WithModel(model),
+						ftsim.WithMaxInsts(goldenInsts), ftsim.WithMaxCycles(goldenInsts * 100)}
+					key := bench + "/" + string(model)
+					if faulty {
+						opts = append(opts, ftsim.WithFaultRate(goldenFaultRate),
+							ftsim.WithFaultSeed(goldenFaultSeed),
+							ftsim.WithFaultTargets(ftsim.AllFaultTargets()...))
+						key += "/faults"
 					}
+					m, err := ftsim.New(opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, ok := got.Fingerprints[model]; !ok && !faulty {
+						fp := machineFingerprint(t, m, p)
+						got.Fingerprints[model] = fp
+						check(t, string(model)+" fingerprint", fp, want.Fingerprints[model])
+					}
+					st, err := m.Run(context.Background(), p)
+					if err != nil {
+						t.Fatalf("%s: %v", key, err)
+					}
+					data, err := json.Marshal(st)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sum := sha256.Sum256(data)
+					got.Stats[key] = hex.EncodeToString(sum[:])
+					check(t, key+" Stats digest", got.Stats[key], want.Stats[key])
 				}
-				st, err := m.Run(context.Background(), p)
-				if err != nil {
-					t.Fatalf("%s: %v", key, err)
-				}
-				data, err := json.Marshal(st)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sum := sha256.Sum256(data)
-				got.Stats[key] = hex.EncodeToString(sum[:])
-			}
+			})
 		}
 	}
 
-	path := filepath.Join("testdata", "golden", "stats.json")
 	if *update {
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
@@ -105,24 +126,7 @@ func TestStatsGolden(t *testing.T) {
 		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run `go test ./ftsim -run TestStatsGolden -update` to create)", err)
-	}
-	var want statsGolden
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-	for model, fp := range want.Fingerprints {
-		if got.Fingerprints[model] != fp {
-			t.Errorf("%s: fingerprint %s, golden %s", model, got.Fingerprints[model], fp)
-		}
-	}
-	for key, digest := range want.Stats {
-		if got.Stats[key] != digest {
-			t.Errorf("%s: Stats digest %s, golden %s", key, got.Stats[key], digest)
-		}
+		return
 	}
 	if len(got.Stats) != len(want.Stats) || len(got.Fingerprints) != len(want.Fingerprints) {
 		t.Errorf("golden file covers %d runs and %d presets, the test %d and %d",

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/cpu"
-	"repro/internal/trace"
 )
 
 // MachinePool recycles the internal simulator machines that back runs,
@@ -47,28 +46,18 @@ func (p *MachinePool) put(m *cpu.Machine) {
 // reset fully sanitises in-flight state. The returned Stats is a
 // snapshot owned by the caller, never aliased to pooled machine state.
 func (m *Machine) RunPooled(ctx context.Context, pool *MachinePool, p *Program) (*Stats, error) {
-	coreCfg, err := m.cfg.coreConfig()
+	recycled := pool.get()
+	s, cfg, err := m.newSession(recycled)
 	if err != nil {
+		pool.put(recycled)
 		return nil, err
 	}
-	coreCfg.StrictOracle = m.strict
-	s := &Session{name: m.cfg.Name, obs: m.obs}
-	if m.obs != nil {
-		every := m.every
-		if every == 0 {
-			every = DefaultObserveEvery
-		}
-		coreCfg.CPU.Observe = s.tap
-		coreCfg.CPU.ObserveEvery = every
+	cm := recycled
+	if cm == nil {
+		cm = new(cpu.Machine) // Reset of the zero Machine is cpu.New
 	}
-	if m.traceCap > 0 {
-		s.trace = trace.NewBuffer(m.traceCap)
-		coreCfg.CPU.Tracer = s.trace
-	}
-	recycled := pool.get()
-	cm, err := coreCfg.Rebuild(recycled, p.p)
-	if err != nil {
-		// Rebuild validates before mutating, so the recycled machine is
+	if err := cm.Reset(cfg, p.p); err != nil {
+		// Reset validates before mutating, so a recycled machine is
 		// still intact; keep it pooled.
 		pool.put(recycled)
 		return nil, fmt.Errorf("%w: %w", ErrInvalidConfig, err)

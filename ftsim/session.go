@@ -1,12 +1,15 @@
 package ftsim
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 
+	"repro/internal/cache"
 	"repro/internal/cpu"
+	"repro/internal/fault"
 	"repro/internal/trace"
 )
 
@@ -14,9 +17,8 @@ import (
 // instruction counts, stall accounting, branch/cache behaviour, and the
 // paper's fault-tolerance counters (faults detected, rewinds, majority
 // elections, escaped faults). It is the same structure the internal
-// simulator gathers, re-exported: the facade adds no translation layer,
-// which is what makes its results provably byte-identical to the
-// legacy internal path.
+// simulator gathers, re-exported: the facade adds no translation
+// layer, so the results are exactly the datapath's.
 type Stats = cpu.Stats
 
 // ErrSessionUsed reports a second Run on a session; sessions are
@@ -80,37 +82,107 @@ func (c Config) clone() Config {
 	return c
 }
 
+// newSession lowers the machine description to the cpu layer's
+// configuration (the only place ftsim does so) and creates the Session
+// that will run it, installing the session's observer, tracer and
+// strict-oracle hooks. reuse, when non-nil, is the machine the
+// configuration is about to be installed on: its fault injector's RNG
+// storage is reseeded rather than reallocated (see fault.Renew; the
+// reseeded stream is identical to a fresh one).
+func (m *Machine) newSession(reuse *cpu.Machine) (*Session, cpu.Config, error) {
+	c, p := m.cfg, m.cfg.Pipeline
+	cfg := cpu.Config{
+		Name:            c.Name,
+		FetchWidth:      p.FetchWidth,
+		FetchQueue:      p.FetchQueue,
+		RedirectPenalty: p.RedirectPenalty,
+		RecoveryPenalty: c.RecoveryPenalty,
+		DispatchWidth:   p.DispatchWidth,
+		IssueWidth:      p.IssueWidth,
+		CommitWidth:     p.CommitWidth,
+		RUUSize:         p.RUUSize,
+		LSQSize:         p.LSQSize,
+		IntALU:          p.IntALU,
+		IntMult:         p.IntMult,
+		FPAdd:           p.FPAdd,
+		FPMult:          p.FPMult,
+		MemPorts:        p.MemPorts,
+		Hierarchy: cache.HierarchyConfig{
+			IL1:        c.Memory.IL1.toCache("il1"),
+			DL1:        c.Memory.DL1.toCache("dl1"),
+			L2:         c.Memory.L2.toCache("ul2"),
+			MemLatency: c.Memory.Latency,
+		},
+		Bpred:             c.BranchPred.toBpred(),
+		R:                 c.R,
+		CoSchedule:        c.CoSchedule,
+		TransformOperands: c.TransformOperands,
+		Oracle:            c.Oracle,
+		StrictOracle:      m.strict,
+		MaxInsts:          c.MaxInsts,
+		MaxCycles:         c.MaxCycles,
+	}
+	if c.R > 1 {
+		// Section 3.2 requires the ROB size to be a multiple of R so the
+		// copy-k-at-index-≡k alignment holds; round down (e.g. 128 -> 126
+		// for R=3), mirroring how a real design would provision the ROB.
+		cfg.RUUSize -= cfg.RUUSize % c.R
+		if c.Majority {
+			// Normalized has filled in a simple-majority threshold.
+			cfg.Checker = &cpu.MajorityChecker{R: c.R, Threshold: c.MajorityThreshold}
+		} else {
+			cfg.Checker = cpu.RewindChecker{}
+		}
+	}
+
+	fc := fault.Config{Rate: c.Fault.Rate, Seed: c.Fault.Seed}
+	for _, t := range c.Fault.Targets {
+		ft, err := t.target()
+		if err != nil {
+			return nil, cpu.Config{}, &ConfigError{Field: "fault.targets", Reason: err.Error()}
+		}
+		fc.Targets = append(fc.Targets, ft)
+	}
+	var prev *fault.Injector
+	if reuse != nil {
+		prev = reuse.Injector()
+	}
+	cfg.Injector = fault.Renew(prev, fc)
+	if c.Persistent != nil {
+		pool, err := poolByName(c.Persistent.Pool)
+		if err != nil {
+			return nil, cpu.Config{}, &ConfigError{Field: "persistent.pool", Reason: err.Error()}
+		}
+		cfg.Persistent = &fault.Persistent{Pool: pool, Unit: c.Persistent.Unit, Bit: c.Persistent.Bit}
+	}
+
+	s := &Session{name: c.Name, obs: m.obs}
+	if m.obs != nil {
+		cfg.Observe = s.tap
+		cfg.ObserveEvery = cmp.Or(m.every, DefaultObserveEvery)
+	}
+	if m.traceCap > 0 {
+		s.trace = trace.NewBuffer(m.traceCap)
+		cfg.Tracer = s.trace
+	}
+	return s, cfg, nil
+}
+
 // Load instantiates one simulation of the program on this machine: the
 // image is cloned into fresh memory, the fault injector is seeded from
 // the config, and the session is ready to Run. Sessions are
 // independent; any number may run concurrently.
 func (m *Machine) Load(p *Program) (*Session, error) {
-	coreCfg, err := m.cfg.coreConfig()
+	s, cfg, err := m.newSession(nil)
 	if err != nil {
 		return nil, err
 	}
-	coreCfg.StrictOracle = m.strict
-	s := &Session{name: m.cfg.Name, obs: m.obs}
-	if m.obs != nil {
-		every := m.every
-		if every == 0 {
-			every = DefaultObserveEvery
-		}
-		coreCfg.CPU.Observe = s.tap
-		coreCfg.CPU.ObserveEvery = every
-	}
-	if m.traceCap > 0 {
-		s.trace = trace.NewBuffer(m.traceCap)
-		coreCfg.CPU.Tracer = s.trace
-	}
-	cm, err := coreCfg.Build(p.p)
-	if err != nil {
+	if s.cm, err = cpu.New(cfg, p.p); err != nil {
 		// The facade validates ahead of time, so reaching here means a
-		// constraint only the implementation layer checks; fold it into
-		// the same taxonomy.
+		// constraint only the cpu layer checks; fold it into the same
+		// taxonomy.
 		return nil, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
 	}
-	s.cm = cm
 	return s, nil
 }
 

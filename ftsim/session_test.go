@@ -9,99 +9,12 @@ import (
 	"time"
 
 	"repro/ftsim"
-	"repro/internal/core"
-	"repro/internal/fault"
-	"repro/internal/workload"
 )
 
-// legacyConfig builds the pre-facade core.Config for one model exactly
-// the way the old consumers did.
-func legacyConfig(t *testing.T, model ftsim.Model) core.Config {
-	t.Helper()
-	switch model {
-	case ftsim.ModelSS1:
-		return core.SS1()
-	case ftsim.ModelSS2:
-		return core.SS2()
-	case ftsim.ModelSS3:
-		return core.SS3()
-	case ftsim.ModelSS3Rewind:
-		return core.SS3Rewind()
-	case ftsim.ModelStatic2:
-		return core.Static2()
-	}
-	t.Fatalf("no legacy config for %q", model)
-	return core.Config{}
-}
-
-// TestFacadeMatchesCore is the acceptance gate of the API redesign: the
-// public facade must produce byte-identical Stats to the legacy
-// core.Run path, across the Table 2 workloads and R in {1,2,3}, with
-// fault injection on.
-func TestFacadeMatchesCore(t *testing.T) {
-	benches := ftsim.Benchmarks()
-	if testing.Short() {
-		benches = benches[:3]
-	}
-	models := []ftsim.Model{ftsim.ModelSS1, ftsim.ModelSS2, ftsim.ModelSS3}
-	const insts = 10_000
-	const rate = 1e-4
-
-	for _, bench := range benches {
-		for i, model := range models {
-			seed := int64(100*i) + int64(len(bench)) // arbitrary but deterministic
-			t.Run(bench+"/"+string(model), func(t *testing.T) {
-				// Legacy path: internal core.Config literals, core.Run.
-				profile, ok := workload.ByName(bench)
-				if !ok {
-					t.Fatal("unknown benchmark")
-				}
-				program, err := profile.Build(1 << 32)
-				if err != nil {
-					t.Fatal(err)
-				}
-				legacy := legacyConfig(t, model)
-				legacy.Fault = fault.Config{Rate: rate, Seed: seed, Targets: fault.AllTargets}
-				legacy.MaxInsts = insts
-				legacy.MaxCycles = insts * 100
-				want, err := core.Run(program, legacy)
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				// Facade path: public options and session.
-				m, err := ftsim.New(
-					ftsim.WithModel(model),
-					ftsim.WithFaultRate(rate),
-					ftsim.WithFaultSeed(seed),
-					ftsim.WithFaultTargets(ftsim.AllFaultTargets()...),
-					ftsim.WithMaxInsts(insts),
-					ftsim.WithMaxCycles(insts*100))
-				if err != nil {
-					t.Fatal(err)
-				}
-				fp, err := ftsim.Benchmark(bench)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := m.Run(context.Background(), fp)
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				if !reflect.DeepEqual(want, got) {
-					t.Errorf("facade stats diverge from core.Run\nlegacy: %s\nfacade: %s",
-						want.Summary(), got.Summary())
-				}
-			})
-		}
-	}
-}
-
-// TestSerializedConfigMatchesCore closes the persistence loop: a config
+// TestSerializedConfigRoundTrip closes the persistence loop: a config
 // marshalled to JSON and restored with ParseConfig must drive the
 // simulator to the identical Stats.
-func TestSerializedConfigMatchesCore(t *testing.T) {
+func TestSerializedConfigRoundTrip(t *testing.T) {
 	m, err := ftsim.New(ftsim.SS2(),
 		ftsim.WithFaultRate(1e-4),
 		ftsim.WithFaultSeed(42),

@@ -3,7 +3,6 @@ package ftsim
 import (
 	"repro/internal/cpu"
 	"repro/internal/snap"
-	"repro/internal/trace"
 )
 
 // Snapshot and restore make long simulations durable: a session's
@@ -47,26 +46,12 @@ func (s *Session) Snapshot() []byte { return s.cm.Snapshot() }
 // the remainder of the workload, streaming observer samples relative
 // to the snapshot point.
 func (m *Machine) Restore(data []byte) (*Session, error) {
-	coreCfg, err := m.cfg.coreConfig()
+	s, cfg, err := m.newSession(nil)
 	if err != nil {
 		return nil, err
 	}
-	coreCfg.StrictOracle = m.strict
-	s := &Session{name: m.cfg.Name, obs: m.obs}
-	if m.obs != nil {
-		every := m.every
-		if every == 0 {
-			every = DefaultObserveEvery
-		}
-		coreCfg.CPU.Observe = s.tap
-		coreCfg.CPU.ObserveEvery = every
-	}
-	if m.traceCap > 0 {
-		s.trace = trace.NewBuffer(m.traceCap)
-		coreCfg.CPU.Tracer = s.trace
-	}
-	cm, err := coreCfg.Restore(nil, data)
-	if err != nil {
+	cm := new(cpu.Machine)
+	if err := cm.Restore(cfg, data); err != nil {
 		return nil, err
 	}
 	s.cm = cm

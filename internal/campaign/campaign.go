@@ -284,7 +284,7 @@ type Runner struct {
 	// failed. 0 disables retry.
 	Retries int
 	// RetryBackoff is the delay before the first retry, doubling per
-	// subsequent retry; <= 0 means 50ms.
+	// subsequent retry up to 2s; <= 0 means 50ms.
 	RetryBackoff time.Duration
 
 	// Checkpoint, when non-nil, journals completed trials to disk and

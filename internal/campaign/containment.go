@@ -4,37 +4,33 @@ import (
 	"context"
 	"runtime/debug"
 	"time"
+
+	"repro/internal/backoff"
 )
 
 // runTrial executes one trial under the runner's containment policy:
 // panics become *TrialPanicError, each attempt runs under the
 // per-trial deadline, and retryable failures (ErrTransient,
-// ErrTrialTimeout) are re-attempted up to Retries times with doubling
-// backoff. attempts reports how many attempts actually ran.
+// ErrTrialTimeout) are re-attempted up to Retries times with capped
+// doubling backoff. attempts reports how many attempts actually ran.
 func (r Runner) runTrial(ctx context.Context, t Trial, ws *Workspace, seed int64) (v any, attempts int, err error) {
-	backoff := r.RetryBackoff
-	if backoff <= 0 {
-		backoff = 50 * time.Millisecond
-	}
+	wait := backoff.New(r.RetryBackoff, 50*time.Millisecond)
 	for {
 		attempts++
 		v, err = r.attempt(ctx, t, ws, seed)
 		if err == nil || attempts > r.Retries || !retryable(err) || ctx.Err() != nil {
 			return v, attempts, err
 		}
-		select {
-		case <-ctx.Done():
+		if !wait.Wait(ctx) {
 			return v, attempts, err
-		case <-time.After(backoff):
 		}
-		backoff *= 2
 	}
 }
 
 // attempt is a single execution of the trial with panic containment
 // and the per-attempt deadline. The deadline is cooperative: the
 // trial's context fires at TrialTimeout and a simulation that plumbs
-// it into its run loop (as core.RunContext does) stops promptly. An
+// it into its run loop (as ftsim's sessions do) stops promptly. An
 // expired attempt deadline is reported as *TrialTimeoutError — a real
 // per-trial failure — except when the campaign context itself is
 // done, in which case the cancellation is passed through untouched so

@@ -33,6 +33,7 @@ import (
 
 	"repro/ftsim/api"
 	"repro/ftsim/client"
+	"repro/internal/backoff"
 	"repro/internal/obs"
 	"repro/internal/server"
 )
@@ -64,9 +65,6 @@ type Config struct {
 	// page carries both.
 	Registry *obs.Registry
 }
-
-// maxRetryBackoff caps the per-shard redispatch backoff.
-const maxRetryBackoff = 2 * time.Second
 
 // worker is one fleet member: its client plus probed health and load,
 // both guarded by the coordinator's fleet mutex.
@@ -390,18 +388,13 @@ func (c *Coordinator) Run(ctx context.Context, j *server.Job) (*server.Result, e
 // worker failure with capped backoff.
 func (c *Coordinator) runShardWithRetry(ctx context.Context, j *server.Job, r shardRange,
 	mu *sync.Mutex, st *shardState, publishProgress func() (int, int)) error {
-	backoff := c.cfg.RetryBackoff
+	wait := backoff.New(c.cfg.RetryBackoff, 0) // New defaulted RetryBackoff
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.ShardAttempts; attempt++ {
 		if attempt > 0 {
 			c.m.redispatches.Inc()
-			select {
-			case <-ctx.Done():
+			if !wait.Wait(ctx) {
 				return ctx.Err()
-			case <-time.After(backoff):
-			}
-			if backoff *= 2; backoff > maxRetryBackoff {
-				backoff = maxRetryBackoff
 			}
 			// A redispatched shard starts over; drop its stale
 			// contribution so merged progress never double-counts.

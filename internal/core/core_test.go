@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/ftsim"
 	"repro/internal/cpu"
 	"repro/internal/fault"
 	"repro/internal/funcsim"
@@ -248,7 +249,8 @@ func TestMajorityThresholdFour(t *testing.T) {
 	// mismatch; with threshold 3 it can elect.
 	p := mixedProgram(200)
 	want := reference(t, p)
-	cfg := Config{CPU: SS1().CPU, R: 4, Majority: true, MajorityThreshold: 3}
+	cfg := SS1()
+	cfg.R, cfg.Majority, cfg.MajorityThreshold = 4, true, 3
 	cfg.Fault = fault.Config{Rate: 1e-3, Seed: 9, Targets: fault.AllTargets}
 	st := runCfg(t, p, cfg)
 	if st.EscapedFaults != 0 || st.Output[0] != want[0] {
@@ -256,19 +258,21 @@ func TestMajorityThresholdFour(t *testing.T) {
 	}
 }
 
+// TestPresetNames checks the facade's published machine models.
 func TestPresetNames(t *testing.T) {
-	cases := map[string]Config{
-		"SS-1": SS1(), "SS-2": SS2(), "SS-3": SS3(), "Static-2": Static2(),
+	cases := map[string]ftsim.Config{
+		"SS-1": ftsim.ModelSS1.Config(), "SS-2": ftsim.ModelSS2.Config(),
+		"SS-3": ftsim.ModelSS3.Config(), "Static-2": ftsim.ModelStatic2.Config(),
 	}
 	for want, cfg := range cases {
-		if cfg.CPU.Name != want {
-			t.Errorf("preset name %q, want %q", cfg.CPU.Name, want)
+		if cfg.Name != want {
+			t.Errorf("preset name %q, want %q", cfg.Name, want)
 		}
 	}
-	if SS2().R != 2 || SS3().R != 3 || !SS3().Majority {
+	if ftsim.ModelSS2.Config().R != 2 || ftsim.ModelSS3.Config().R != 3 || !ftsim.ModelSS3.Config().Majority {
 		t.Error("preset redundancy misconfigured")
 	}
-	if Static2().CPU.RUUSize != 64 || Static2().CPU.FPMult != 1 {
+	if st2 := ftsim.ModelStatic2.Config(); st2.Pipeline.RUUSize != 64 || st2.Pipeline.FPMult != 1 {
 		t.Error("Static-2 resources misconfigured")
 	}
 }
@@ -296,7 +300,7 @@ func TestPersistentFaultMasking(t *testing.T) {
 
 	run := func(transform bool) *cpu.Stats {
 		cfg := SS2()
-		cfg.CPU.IntALU = 1 // force both copies through the damaged unit
+		cfg.IntALU = 1 // force both copies through the damaged unit
 		cfg.Persistent = &fault.Persistent{Pool: isa.PoolIntALU, Unit: 0, Bit: 17}
 		cfg.TransformOperands = transform
 		cfg.Oracle = true

@@ -26,8 +26,8 @@ func resetCases() []struct {
 		return c
 	}
 	bigWindow := SS2()
-	bigWindow.CPU.RUUSize = 256
-	bigWindow.CPU.LSQSize = 128
+	bigWindow.RUUSize = 256
+	bigWindow.LSQSize = 128
 	oracle := SS2()
 	oracle.Oracle = true
 	penalty := SS3Rewind()
@@ -104,8 +104,8 @@ func TestRebuildMatchesFresh(t *testing.T) {
 		func(t *testing.T) *cpu.Machine {
 			// Different window geometry + fault injector state.
 			c := limit(SS2())
-			c.CPU.RUUSize = 256
-			c.CPU.LSQSize = 128
+			c.RUUSize = 256
+			c.LSQSize = 128
 			c.Fault = fault.Config{Rate: 1e-3, Seed: 99, Targets: fault.AllTargets}
 			m, err := c.Build(progB)
 			if err != nil {
@@ -203,7 +203,7 @@ func TestRebuildInvalidConfigLeavesMachineUsable(t *testing.T) {
 		t.Fatal(err)
 	}
 	broken := cfg
-	broken.CPU.RUUSize = 0
+	broken.RUUSize = 0
 	if _, err := broken.Rebuild(m, program); err == nil {
 		t.Fatal("Rebuild accepted an invalid config")
 	}

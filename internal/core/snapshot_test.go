@@ -37,8 +37,8 @@ var interruptCtx context.Context
 func withInterrupt(cfg Config, atCycle uint64) Config {
 	ctx, cancel := context.WithCancel(context.Background())
 	interruptCtx = ctx
-	cfg.CPU.ObserveEvery = 256
-	cfg.CPU.Observe = func(s *cpu.Stats) {
+	cfg.ObserveEvery = 256
+	cfg.Observe = func(s *cpu.Stats) {
 		if s.Cycles >= atCycle {
 			cancel()
 		}
@@ -378,7 +378,7 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 		{"different model", func() Config { c := SS3(); c.MaxInsts = 1_000; return c }()},
 		{"different geometry", func() Config {
 			c := SS2()
-			c.CPU.RUUSize = 256
+			c.RUUSize = 256
 			c.MaxInsts = 1_000
 			return c
 		}()},

@@ -78,8 +78,8 @@ func TestStallAccounting(t *testing.T) {
 	}
 
 	tiny := SS1()
-	tiny.CPU.RUUSize = 8
-	tiny.CPU.LSQSize = 8
+	tiny.RUUSize = 8
+	tiny.LSQSize = 8
 	tiny.MaxInsts = 5_000
 	tiny.MaxCycles = 2_000_000
 	st, err := Run(program, tiny)
@@ -91,7 +91,7 @@ func TestStallAccounting(t *testing.T) {
 	}
 
 	tinyLSQ := SS1()
-	tinyLSQ.CPU.LSQSize = 2
+	tinyLSQ.LSQSize = 2
 	tinyLSQ.MaxInsts = 5_000
 	tinyLSQ.MaxCycles = 2_000_000
 	st2, err := Run(program, tinyLSQ)

@@ -1,13 +1,12 @@
-package core
+package cpu
 
 import (
 	"testing"
 
-	"repro/internal/cpu"
 	"repro/internal/isa"
 )
 
-func entryFor(op isa.Op, result, ea, storeVal, nextPC uint64, taken bool) *cpu.Entry {
+func entryFor(op isa.Op, result, ea, storeVal, nextPC uint64, taken bool) *Entry {
 	in := isa.Inst{Op: op}
 	switch {
 	case op == isa.OpSd:
@@ -19,7 +18,7 @@ func entryFor(op isa.Op, result, ea, storeVal, nextPC uint64, taken bool) *cpu.E
 	default:
 		in = isa.Inst{Op: op, Rd: 3, Rs1: 1, Rs2: 2}
 	}
-	return &cpu.Entry{
+	return &Entry{
 		Valid:    true,
 		Inst:     in,
 		Result:   result,
@@ -30,8 +29,8 @@ func entryFor(op isa.Op, result, ea, storeVal, nextPC uint64, taken bool) *cpu.E
 	}
 }
 
-func group(op isa.Op, n int) []*cpu.Entry {
-	g := make([]*cpu.Entry, n)
+func checkGroup(op isa.Op, n int) []*Entry {
+	g := make([]*Entry, n)
 	for i := range g {
 		g[i] = entryFor(op, 100, 0x2000, 7, 0x1008, false)
 	}
@@ -40,7 +39,7 @@ func group(op isa.Op, n int) []*cpu.Entry {
 
 func TestRewindCheckerAgreement(t *testing.T) {
 	var c RewindChecker
-	v := c.Check(group(isa.OpAdd, 2))
+	v := c.Check(checkGroup(isa.OpAdd, 2))
 	if !v.OK || v.Mismatch {
 		t.Errorf("agreeing group rejected: %+v", v)
 	}
@@ -51,19 +50,19 @@ func TestRewindCheckerFieldMismatches(t *testing.T) {
 	cases := []struct {
 		name   string
 		op     isa.Op
-		mutate func(e *cpu.Entry)
+		mutate func(e *Entry)
 	}{
-		{"result", isa.OpAdd, func(e *cpu.Entry) { e.Result ^= 4 }},
-		{"load ea", isa.OpLd, func(e *cpu.Entry) { e.EA ^= 8 }},
-		{"load value", isa.OpLd, func(e *cpu.Entry) { e.Result ^= 1 }},
-		{"store ea", isa.OpSd, func(e *cpu.Entry) { e.EA ^= 16 }},
-		{"store data", isa.OpSd, func(e *cpu.Entry) { e.StoreVal ^= 2 }},
-		{"branch target", isa.OpBeq, func(e *cpu.Entry) { e.NextPC ^= 64 }},
-		{"branch direction", isa.OpBeq, func(e *cpu.Entry) { e.Taken = !e.Taken }},
+		{"result", isa.OpAdd, func(e *Entry) { e.Result ^= 4 }},
+		{"load ea", isa.OpLd, func(e *Entry) { e.EA ^= 8 }},
+		{"load value", isa.OpLd, func(e *Entry) { e.Result ^= 1 }},
+		{"store ea", isa.OpSd, func(e *Entry) { e.EA ^= 16 }},
+		{"store data", isa.OpSd, func(e *Entry) { e.StoreVal ^= 2 }},
+		{"branch target", isa.OpBeq, func(e *Entry) { e.NextPC ^= 64 }},
+		{"branch direction", isa.OpBeq, func(e *Entry) { e.Taken = !e.Taken }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			g := group(tc.op, 2)
+			g := checkGroup(tc.op, 2)
 			tc.mutate(g[1])
 			v := c.Check(g)
 			if v.OK || !v.Mismatch {
@@ -78,7 +77,7 @@ func TestRewindCheckerFieldMismatches(t *testing.T) {
 // ALU op's entry).
 func TestRewindCheckerIgnoresUncheckedFields(t *testing.T) {
 	var c RewindChecker
-	g := group(isa.OpAdd, 2)
+	g := checkGroup(isa.OpAdd, 2)
 	g[1].EA = 0xDEAD // not part of an ALU signature
 	g[1].StoreVal = 99
 	g[1].Taken = true
@@ -90,7 +89,7 @@ func TestRewindCheckerIgnoresUncheckedFields(t *testing.T) {
 func TestMajorityCheckerElects(t *testing.T) {
 	c := &MajorityChecker{R: 3, Threshold: 2}
 	// Copy 2 corrupted: majority {0,1} commits copy 0.
-	g := group(isa.OpAdd, 3)
+	g := checkGroup(isa.OpAdd, 3)
 	g[2].Result ^= 1
 	v := c.Check(g)
 	if !v.OK || !v.Majority || !v.Mismatch {
@@ -101,7 +100,7 @@ func TestMajorityCheckerElects(t *testing.T) {
 	}
 
 	// Copy 0 corrupted on an ALU op: majority {1,2} still commits.
-	g = group(isa.OpAdd, 3)
+	g = checkGroup(isa.OpAdd, 3)
 	g[0].Result ^= 2
 	v = c.Check(g)
 	if !v.OK || v.Copy == 0 {
@@ -109,7 +108,7 @@ func TestMajorityCheckerElects(t *testing.T) {
 	}
 
 	// All three disagree: below threshold, rewind.
-	g = group(isa.OpAdd, 3)
+	g = checkGroup(isa.OpAdd, 3)
 	g[1].Result ^= 4
 	g[2].Result ^= 8
 	if v = c.Check(g); v.OK {
@@ -119,7 +118,7 @@ func TestMajorityCheckerElects(t *testing.T) {
 
 func TestMajorityCheckerUnanimousFastPath(t *testing.T) {
 	c := &MajorityChecker{R: 3, Threshold: 2}
-	v := c.Check(group(isa.OpSd, 3))
+	v := c.Check(checkGroup(isa.OpSd, 3))
 	if !v.OK || v.Mismatch || v.Majority {
 		t.Errorf("unanimous group flagged: %+v", v)
 	}
@@ -131,13 +130,13 @@ func TestMajorityCheckerUnanimousFastPath(t *testing.T) {
 func TestMajorityCheckerMemCopy0Rule(t *testing.T) {
 	c := &MajorityChecker{R: 3, Threshold: 2}
 	for _, op := range []isa.Op{isa.OpLd, isa.OpSd} {
-		g := group(op, 3)
+		g := checkGroup(op, 3)
 		g[0].EA ^= 32 // copy 0's address was corrupt: the access is tainted
 		if v := c.Check(g); v.OK {
 			t.Errorf("%v: tainted copy-0 access elected: %+v", op, v)
 		}
 		// But a corrupted non-performing copy is electable.
-		g = group(op, 3)
+		g = checkGroup(op, 3)
 		g[2].EA ^= 32
 		if v := c.Check(g); !v.OK || !v.Majority {
 			t.Errorf("%v: clean copy-0 group not elected: %+v", op, v)
@@ -148,7 +147,7 @@ func TestMajorityCheckerMemCopy0Rule(t *testing.T) {
 func TestMajorityThresholdStrict(t *testing.T) {
 	// Threshold 3 of 3: any single corruption forces a rewind.
 	c := &MajorityChecker{R: 3, Threshold: 3}
-	g := group(isa.OpAdd, 3)
+	g := checkGroup(isa.OpAdd, 3)
 	g[1].Result ^= 1
 	if v := c.Check(g); v.OK {
 		t.Errorf("strict threshold elected 2/3: %+v", v)
@@ -159,7 +158,7 @@ func TestMajorityCheckerR5(t *testing.T) {
 	// 5 copies, threshold 3: two different corruptions still leave a
 	// 3-copy clean majority.
 	c := &MajorityChecker{R: 5, Threshold: 3}
-	g := group(isa.OpAdd, 5)
+	g := checkGroup(isa.OpAdd, 5)
 	g[1].Result ^= 1
 	g[3].Result ^= 2
 	v := c.Check(g)

@@ -16,7 +16,8 @@
 // instruction dispatches into R consecutive RUU entries, renaming only
 // the first copy and deriving copy k's operand tags by adding an offset
 // of k; the commit stage checks the R copies against each other (via the
-// Checker installed by package core) before a single instruction retires.
+// configured Checker: RewindChecker or MajorityChecker) before a single
+// instruction retires, and a rejected group rewinds the machine.
 package cpu
 
 import (
@@ -72,8 +73,8 @@ type Config struct {
 	// Correlated Faults").
 	CoSchedule bool
 	// Checker cross-checks the R copies of each retiring group. It must
-	// be non-nil when R >= 2. Package core provides the paper's rewind
-	// and majority-election checkers.
+	// be non-nil when R >= 2; RewindChecker and MajorityChecker are the
+	// paper's policies.
 	Checker Checker
 	// Injector corrupts speculative per-copy values; nil disables
 	// injection.

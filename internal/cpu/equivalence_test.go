@@ -43,7 +43,7 @@ func TestScanVsEventEquivalence(t *testing.T) {
 					cfg.R = v.r
 					cfg.CoSchedule = v.cosched
 					if v.r > 1 {
-						cfg.Checker = testChecker{}
+						cfg.Checker = RewindChecker{}
 						cfg.RUUSize -= cfg.RUUSize % v.r
 					}
 					// Each run needs its own injector: the RNG stream is

@@ -9,20 +9,6 @@ import (
 	"repro/internal/prog"
 )
 
-// testChecker is a minimal R-way unanimity checker for cpu-level tests
-// (the real policies live in package core).
-type testChecker struct{}
-
-func (testChecker) Check(group []*Entry) Verdict {
-	for _, e := range group[1:] {
-		if e.Result != group[0].Result || e.EA != group[0].EA ||
-			e.StoreVal != group[0].StoreVal || e.NextPC != group[0].NextPC {
-			return Verdict{OK: false, Mismatch: true}
-		}
-	}
-	return Verdict{OK: true}
-}
-
 func sumProgram(n int64) *prog.Program {
 	b := prog.NewBuilder("sum")
 	b.Li(1, n)
@@ -213,7 +199,7 @@ func TestRedundantMatchesBaseline(t *testing.T) {
 	for _, r := range []int{2, 4} {
 		cfg := Baseline()
 		cfg.R = r
-		cfg.Checker = testChecker{}
+		cfg.Checker = RewindChecker{}
 		st := runProgram(t, cfg, p)
 		if len(st.Output) != 1 || st.Output[0] != base.Output[0] {
 			t.Fatalf("R=%d output %v differs from baseline %v", r, st.Output, base.Output)
@@ -236,14 +222,14 @@ func TestRedundantMatchesBaseline(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	cases := []func(*Config){
 		func(c *Config) { c.R = 0 },
-		func(c *Config) { c.R = 3; c.Checker = testChecker{} }, // 128 % 3 != 0
-		func(c *Config) { c.R = 2 },                            // no checker
+		func(c *Config) { c.R = 3; c.Checker = RewindChecker{} }, // 128 % 3 != 0
+		func(c *Config) { c.R = 2 },                              // no checker
 		func(c *Config) { c.RUUSize = 0 },
 		func(c *Config) { c.LSQSize = 0 },
 		func(c *Config) { c.CommitWidth = 0 },
 		func(c *Config) { c.IntALU = 0 },
 		func(c *Config) { c.FetchQueue = 1 },
-		func(c *Config) { c.R = 2; c.Checker = testChecker{}; c.DispatchWidth = 1 },
+		func(c *Config) { c.R = 2; c.Checker = RewindChecker{}; c.DispatchWidth = 1 },
 	}
 	for i, mutate := range cases {
 		cfg := Baseline()

@@ -85,7 +85,7 @@ func TestRandomProgramEquivalence(t *testing.T) {
 			cfg := Baseline()
 			cfg.R = r
 			if r > 1 {
-				cfg.Checker = testChecker{}
+				cfg.Checker = RewindChecker{}
 			}
 			cfg.Oracle = true
 			cfg.MaxCycles = 2_000_000

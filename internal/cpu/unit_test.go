@@ -358,7 +358,7 @@ func TestNextPCUpsetAbsorbed(t *testing.T) {
 	b.Halt()
 	cfg := Baseline()
 	cfg.R = 2
-	cfg.Checker = testChecker{}
+	cfg.Checker = RewindChecker{}
 	cfg.Oracle = true
 	m, err := New(cfg, b.MustBuild())
 	if err != nil {
@@ -400,7 +400,7 @@ func TestRedundantLoadSingleAccess(t *testing.T) {
 		cfg := Baseline()
 		cfg.R = r
 		if r > 1 {
-			cfg.Checker = testChecker{}
+			cfg.Checker = RewindChecker{}
 		}
 		cfg.MaxCycles = 1_000_000
 		m, err := New(cfg, p)
@@ -443,7 +443,7 @@ func TestPipelineTrace(t *testing.T) {
 	buf := trace.NewBuffer(100_000)
 	cfg := Baseline()
 	cfg.R = 2
-	cfg.Checker = testChecker{}
+	cfg.Checker = RewindChecker{}
 	cfg.Tracer = buf
 	cfg.MaxCycles = 100_000
 	m, err := New(cfg, b.MustBuild())

@@ -215,7 +215,7 @@ const (
 
 // Build generates the benchmark program with the given number of main
 // loop iterations. Instruction counts scale as roughly BodySlots *
-// iters; use core.Config.MaxInsts to bound simulated length instead of
+// iters; use the machine's MaxInsts to bound simulated length instead of
 // tuning iters precisely.
 func (p Profile) Build(iters int64) (*prog.Program, error) {
 	if err := p.validate(); err != nil {
