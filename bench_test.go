@@ -14,11 +14,9 @@ import (
 	"testing"
 
 	"repro/ftsim"
-	"repro/internal/campaign"
 	"repro/internal/experiments"
 	"repro/internal/funcsim"
 	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -244,10 +242,13 @@ func BenchmarkCampaign(b *testing.B) {
 	for _, c := range cases {
 		c := c
 		b.Run(c.name, func(b *testing.B) {
-			m := campaign.NewMetrics(obs.NewRegistry())
+			opt := experiments.Options{MaxInsts: 4_000, Campaign: []ftsim.CampaignOption{
+				ftsim.WithWorkers(c.workers),
+				ftsim.WithMetricsSink(ftsim.NewCampaignMetrics(ftsim.NewMetricsRegistry())),
+			}}
 			trials := 0
 			for i := 0; i < b.N; i++ {
-				rows, err := experiments.Fig5(experiments.Options{MaxInsts: 4_000, Parallel: c.workers, Metrics: m})
+				rows, err := experiments.Fig5(opt)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -1,10 +1,10 @@
 // Command ftexp regenerates the paper's tables and figures.
 //
 // Every simulation-backed experiment is an embarrassingly parallel grid
-// of trials; ftexp runs them through the campaign engine
-// (internal/campaign), sharding trials across -parallel workers with
-// per-trial seeds derived from -seed. Output tables are byte-identical
-// for any -parallel value.
+// of trials; ftexp runs them through ftsim.RunCampaign, sharding trials
+// across -parallel workers with per-trial seeds derived from -seed. The
+// command-line flags map one to one onto ftsim campaign options. Output
+// tables are byte-identical for any -parallel value.
 //
 //	ftexp                       # the whole evaluation, all cores
 //	ftexp -exp fig5 -parallel 1 # one figure, serially
@@ -23,10 +23,9 @@ import (
 	"runtime"
 	"time"
 
+	"repro/ftsim"
 	"repro/internal/buildinfo"
-	"repro/internal/campaign"
 	"repro/internal/experiments"
-	"repro/internal/obs"
 )
 
 func main() {
@@ -58,31 +57,38 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
+	if *seed == 0 {
+		*seed = 1 // 0 is reserved (see -seed)
+	}
 	// Per-trial progress reporting plus a per-experiment summary of how
 	// the campaign parallelised, both on stderr so stdout stays clean
 	// table output.
-	var lastReport *campaign.Report
+	var lastReport *ftsim.CampaignReport
 	opt := experiments.Options{
 		MaxInsts:      *insts,
-		FaultSeed:     *seed,
-		Parallel:      *parallel,
 		Context:       ctx,
-		Report:        func(rep *campaign.Report) { lastReport = rep },
+		Report:        func(rep *ftsim.CampaignReport) { lastReport = rep },
 		CheckpointDir: *checkpoint,
 		Resume:        *resume,
-		TrialTimeout:  *trialTimeout,
-		Retries:       *retries,
-		Contain:       *contain,
+		Campaign: []ftsim.CampaignOption{
+			ftsim.WithWorkers(*parallel),
+			ftsim.WithCampaignSeed(*seed),
+			ftsim.WithTrialTimeout(*trialTimeout),
+			ftsim.WithRetry(*retries, 0),
+		},
 	}
-	var metricsReg *obs.Registry
+	if !*contain {
+		opt.Campaign = append(opt.Campaign, ftsim.WithFailFast())
+	}
+	var metricsReg *ftsim.MetricsRegistry
 	if *metricsDump {
-		metricsReg = obs.NewRegistry()
-		opt.Metrics = campaign.NewMetrics(metricsReg)
+		metricsReg = ftsim.NewMetricsRegistry()
+		opt.Campaign = append(opt.Campaign, ftsim.WithMetricsSink(ftsim.NewCampaignMetrics(metricsReg)))
 	}
 	if !*quiet {
-		opt.Progress = func(done, total int, r campaign.Result) {
+		opt.Campaign = append(opt.Campaign, ftsim.WithCampaignProgress(func(done, total int, r ftsim.TrialResult) {
 			fmt.Fprintf(os.Stderr, "  [%3d/%3d] %-32s %7.3fs\n", done, total, r.Label, r.Elapsed.Seconds())
-		}
+		}))
 	}
 
 	w := os.Stdout

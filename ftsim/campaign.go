@@ -71,7 +71,7 @@ type campaignOpts struct {
 	backoff      time.Duration
 	failFast     bool
 	metrics      *campaign.Metrics
-	seedOffset   int
+	seedIndex    func(trial int) int
 }
 
 // WithWorkers sets the worker-pool size (0 = GOMAXPROCS, 1 = serial).
@@ -86,14 +86,17 @@ func WithCampaignSeed(seed int64) CampaignOption {
 	return func(o *campaignOpts) { o.seed = seed }
 }
 
-// WithTrialSeedOffset shifts seed derivation: trial i draws the seed of
-// parent-grid index offset+i. It is how a shard of a larger campaign
-// keeps per-trial seeds identical to the unsharded run — a coordinator
+// WithTrialSeedIndex maps each trial index to the grid index its seed
+// derives from (the default is the identity). Trials mapped to one
+// index draw the identical fault stream, which keeps the arms of a
+// controlled comparison — two designs at one fault rate, a penalty
+// sweep at one rate — on one RNG stream. A shard of a larger campaign
+// passes func(i int) int { return offset + i }: a coordinator
 // dispatches trials [offset, offset+n) of the parent grid as a
-// shard-local grid [0, n) with this option, and the merged statistics
-// come out byte-identical to one daemon running the whole range.
-func WithTrialSeedOffset(offset int) CampaignOption {
-	return func(o *campaignOpts) { o.seedOffset = offset }
+// shard-local grid [0, n), and the merged statistics come out
+// byte-identical to one daemon running the whole range.
+func WithTrialSeedIndex(fn func(trial int) int) CampaignOption {
+	return func(o *campaignOpts) { o.seedIndex = fn }
 }
 
 // WithCampaignProgress streams trial completions to fn (serialised, in
@@ -205,7 +208,7 @@ func RunCampaign(ctx context.Context, name string, trials []Trial, opts ...Campa
 		idx := i
 		specTrials[i] = campaign.Trial{
 			Label: t.Label,
-			RunW: func(ctx context.Context, ws *campaign.Workspace, seed int64) (any, error) {
+			Run: func(ctx context.Context, ws *campaign.Workspace, seed int64) (any, error) {
 				run := *m // the seed override must not leak across trials
 				if run.cfg.Fault.Enabled() {
 					run.cfg.Fault.Seed = seed
@@ -240,11 +243,7 @@ func RunCampaign(ctx context.Context, name string, trials []Trial, opts ...Campa
 			FlushEvery: o.flushEvery,
 		}
 	}
-	spec := campaign.Spec{Name: name, Seed: o.seed, Trials: specTrials}
-	if off := o.seedOffset; off != 0 {
-		spec.SeedIndex = func(i int) int { return off + i }
-	}
-	return runner.Run(ctx, spec)
+	return runner.Run(ctx, campaign.Spec{Name: name, Seed: o.seed, SeedIndex: o.seedIndex, Trials: specTrials})
 }
 
 // CollectStats extracts the per-trial statistics in grid order. Trials

@@ -191,12 +191,16 @@ func TestRunCampaignDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRunCampaignTrialSeedOffset: a sub-range of a grid run with
-// WithTrialSeedOffset produces exactly the statistics the full run
-// produced at those indices — the invariant that makes sharded
+// TestRunCampaignTrialSeedOffset: a sub-range of a grid run with an
+// offset WithTrialSeedIndex produces exactly the statistics the full
+// run produced at those indices — the invariant that makes sharded
 // campaigns merge byte-identical to unsharded ones. Fault injection is
 // enabled on half the grid, so a wrong seed would change the numbers.
+// A grouped mapping gives every trial of a group one fault stream.
 func TestRunCampaignTrialSeedOffset(t *testing.T) {
+	offset := func(off int) ftsim.CampaignOption {
+		return ftsim.WithTrialSeedIndex(func(i int) int { return off + i })
+	}
 	trials := campaignGrid(t)
 	full, err := ftsim.RunCampaign(context.Background(), "offset", trials,
 		ftsim.WithCampaignSeed(5))
@@ -216,7 +220,7 @@ func TestRunCampaignTrialSeedOffset(t *testing.T) {
 				continue
 			}
 			rep, err := ftsim.RunCampaign(context.Background(), "offset", trials[part.lo:part.hi],
-				ftsim.WithCampaignSeed(5), ftsim.WithTrialSeedOffset(part.lo))
+				ftsim.WithCampaignSeed(5), offset(part.lo))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -243,7 +247,7 @@ func TestRunCampaignTrialSeedOffset(t *testing.T) {
 	var hotStats []*ftsim.Stats
 	for _, off := range []int{0, 1} {
 		rep, err := ftsim.RunCampaign(context.Background(), "offset", hotTrial,
-			ftsim.WithCampaignSeed(5), ftsim.WithTrialSeedOffset(off))
+			ftsim.WithCampaignSeed(5), offset(off))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,6 +259,25 @@ func TestRunCampaignTrialSeedOffset(t *testing.T) {
 	}
 	if reflect.DeepEqual(hotStats[0], hotStats[1]) {
 		t.Error("seed offsets 0 and 1 produced identical fault statistics; offsets are not reaching seed derivation")
+	}
+
+	// Grouped: two copies of the hot trial mapped to seed index 0, the
+	// pairing Fig 6 uses for its R=2/R=3 arms, share the seed and the
+	// statistics of index 0.
+	rep, err := ftsim.RunCampaign(context.Background(), "offset", append(hotTrial, hotTrial[0]),
+		ftsim.WithCampaignSeed(5), ftsim.WithTrialSeedIndex(func(i int) int { return i / 2 }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair, err := ftsim.CollectStats(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Results[0].Seed != rep.Results[1].Seed {
+		t.Errorf("grouped trials drew seeds %d and %d", rep.Results[0].Seed, rep.Results[1].Seed)
+	}
+	if !reflect.DeepEqual(pair[0], hotStats[0]) || !reflect.DeepEqual(pair[1], hotStats[0]) {
+		t.Error("grouped trials' statistics differ from the run at seed index 0")
 	}
 }
 

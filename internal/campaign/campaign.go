@@ -38,31 +38,21 @@ type Trial struct {
 	// fires when the campaign is cancelled or a sibling trial fails;
 	// long-running trials should plumb it into their simulation so an
 	// abort stops in-flight work promptly, not just future dispatch.
-	// The seed argument is the trial's derived RNG seed (TrialSeed of
-	// the campaign seed and the trial index); trials that inject faults
-	// must seed their injectors from it so the campaign stays
-	// deterministic under any worker count.
-	Run func(ctx context.Context, seed int64) (any, error)
-	// RunW, when non-nil, is used instead of Run and additionally
-	// receives the executing worker's Workspace, where a trial can keep
-	// reusable state (pooled simulator machines, scratch buffers) that
-	// survives across all the trials that worker executes. Because
-	// results must not depend on which worker ran a trial, anything a
-	// trial stores in the workspace must be behaviourally identical to
-	// a fresh instance — caches of immutable data and poolable machines
-	// qualify; accumulated statistics do not.
-	RunW func(ctx context.Context, ws *Workspace, seed int64) (any, error)
+	// The Workspace is the executing worker's: a trial can keep
+	// reusable state there (pooled simulator machines, scratch
+	// buffers) that survives across all the trials that worker
+	// executes. Because results must not depend on which worker ran a
+	// trial, anything a trial stores in the workspace must be
+	// behaviourally identical to a fresh instance — caches of
+	// immutable data and poolable machines qualify; accumulated
+	// statistics do not. The seed argument is the trial's derived RNG
+	// seed (TrialSeed of the campaign seed and the trial index); trials
+	// that inject faults must seed their injectors from it so the
+	// campaign stays deterministic under any worker count.
+	Run func(ctx context.Context, ws *Workspace, seed int64) (any, error)
 }
 
-// run dispatches to RunW when set, else Run.
-func (t Trial) run(ctx context.Context, ws *Workspace, seed int64) (any, error) {
-	if t.RunW != nil {
-		return t.RunW(ctx, ws, seed)
-	}
-	return t.Run(ctx, seed)
-}
-
-// Workspace is per-worker storage handed to Trial.RunW. One worker
+// Workspace is per-worker storage handed to Trial.Run. One worker
 // goroutine owns one workspace for the lifetime of a campaign, so no
 // locking is needed; nothing stored in it is shared between workers.
 // The zero value is ready to use.
@@ -389,9 +379,9 @@ func (r Runner) Run(ctx context.Context, spec Spec) (*Report, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// The workspace lives as long as the worker: trials using
-			// RunW reuse pooled machines and scratch state across every
-			// trial this worker executes.
+			// The workspace lives as long as the worker: trials reuse
+			// pooled machines and scratch state across every trial this
+			// worker executes.
 			ws := &Workspace{}
 			for rng := range jobs {
 				for idx := rng[0]; idx < rng[1]; idx++ {

@@ -47,7 +47,7 @@ func (r Runner) attempt(ctx context.Context, t Trial, ws *Workspace, seed int64)
 			err = &TrialPanicError{Value: p, Stack: string(debug.Stack())}
 		}
 	}()
-	v, err = t.run(actx, ws, seed)
+	v, err = t.Run(actx, ws, seed)
 	if err != nil && r.TrialTimeout > 0 && isCancellation(err) &&
 		actx.Err() != nil && ctx.Err() == nil {
 		err = &TrialTimeoutError{Timeout: r.TrialTimeout}

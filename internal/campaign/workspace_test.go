@@ -30,8 +30,7 @@ func TestWorkspaceZeroValue(t *testing.T) {
 
 // TestWorkspacePerWorker: every worker goroutine owns exactly one
 // workspace for the whole campaign — the property that makes lock-free
-// machine pools in RunW safe — and RunW wins over Run when both are
-// set.
+// machine pools in Run safe.
 func TestWorkspacePerWorker(t *testing.T) {
 	const trials = 64
 	const workers = 4
@@ -42,10 +41,7 @@ func TestWorkspacePerWorker(t *testing.T) {
 	for i := range specTrials {
 		specTrials[i] = Trial{
 			Label: fmt.Sprintf("t%d", i),
-			Run: func(ctx context.Context, seed int64) (any, error) {
-				return nil, errors.New("Run called although RunW is set")
-			},
-			RunW: func(ctx context.Context, ws *Workspace, seed int64) (any, error) {
+			Run: func(ctx context.Context, ws *Workspace, seed int64) (any, error) {
 				if ws == nil {
 					return nil, errors.New("nil workspace")
 				}
@@ -101,7 +97,7 @@ func TestBatchingDeterminism(t *testing.T) {
 			idx := i
 			ts[i] = Trial{
 				Label: fmt.Sprintf("t%d", idx),
-				RunW: func(ctx context.Context, ws *Workspace, seed int64) (any, error) {
+				Run: func(ctx context.Context, ws *Workspace, seed int64) (any, error) {
 					return fmt.Sprintf("%d:%d", idx, seed), nil
 				},
 			}
@@ -160,7 +156,7 @@ func TestBatchedCancellation(t *testing.T) {
 	ran := 0
 	ts := make([]Trial, trials)
 	for i := range ts {
-		ts[i] = Trial{RunW: func(c context.Context, ws *Workspace, seed int64) (any, error) {
+		ts[i] = Trial{Run: func(c context.Context, ws *Workspace, seed int64) (any, error) {
 			ran++
 			if ran == 3 {
 				cancel()

@@ -7,7 +7,7 @@
 // trials independent — trial i's fault seed is a pure function of the
 // campaign seed and i — so a shard carrying trials [lo, hi) of the
 // parent grid runs them under api.ShardRange{Offset: lo}, the worker
-// derives seeds from parent indices (ftsim.WithTrialSeedOffset), and
+// derives seeds from parent indices (ftsim.WithTrialSeedIndex), and
 // the coordinator's merge is mere concatenation of the per-shard stats
 // arrays in shard order: byte-identical to one daemon running the
 // whole grid, for any shard count and any interleaving of failures and

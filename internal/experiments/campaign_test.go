@@ -1,12 +1,20 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
-	"repro/internal/campaign"
+	"repro/ftsim"
 )
+
+// campaignOpt returns opt with the campaign options appended.
+func campaignOpt(opt Options, copts ...ftsim.CampaignOption) Options {
+	opt.Campaign = append(append([]ftsim.CampaignOption(nil), opt.Campaign...), copts...)
+	return opt
+}
 
 // TestCampaignDeterminism is the parallelism regression gate: the same
 // experiment at -parallel 1 and -parallel 8 must produce identical
@@ -14,12 +22,12 @@ import (
 // campaign seed. Fig6 exercises the seed-sensitive path (fault
 // injection); Fig5 covers the fault-free grids.
 func TestCampaignDeterminism(t *testing.T) {
-	serial := Options{MaxInsts: 6_000, FaultSeed: 11, Parallel: 1}
+	base := Options{MaxInsts: 6_000, Campaign: []ftsim.CampaignOption{ftsim.WithCampaignSeed(11)}}
 	if testing.Short() {
-		serial.MaxInsts = 2_000 // keep the concurrency gate, trim the budget
+		base.MaxInsts = 2_000 // keep the concurrency gate, trim the budget
 	}
-	par := serial
-	par.Parallel = 8
+	serial := campaignOpt(base, ftsim.WithWorkers(1))
+	par := campaignOpt(base, ftsim.WithWorkers(8))
 
 	r1, err := Fig6("fpppp", serial)
 	if err != nil {
@@ -57,13 +65,29 @@ func TestCampaignDeterminism(t *testing.T) {
 
 // TestCampaignSeedMatters guards against the degenerate "determinism"
 // of ignoring the seed entirely: a different campaign seed must change
-// the injected-fault trajectory somewhere in the sweep.
+// the injected-fault trajectory somewhere in the sweep. It also checks
+// Fig 6's seed pairing: the R=2 and R=3 arms at one fault rate run
+// under one seed, and adjacent rates do not share it.
 func TestCampaignSeedMatters(t *testing.T) {
-	a, err := Fig6("fpppp", Options{MaxInsts: 6_000, FaultSeed: 11})
+	var rep *ftsim.CampaignReport
+	opt := Options{MaxInsts: 6_000, Report: func(r *ftsim.CampaignReport) { rep = r }}
+	a, err := Fig6("fpppp", campaignOpt(opt, ftsim.WithCampaignSeed(11)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Fig6("fpppp", Options{MaxInsts: 6_000, FaultSeed: 12})
+	res := rep.Results
+	if len(res) != 2*len(a) {
+		t.Fatalf("report has %d trials for %d rows", len(res), len(a))
+	}
+	for i := 0; i < len(res); i += 2 {
+		if res[i].Seed != res[i+1].Seed {
+			t.Errorf("%s and %s drew seeds %d and %d", res[i].Label, res[i+1].Label, res[i].Seed, res[i+1].Seed)
+		}
+		if i > 0 && res[i].Seed == res[i-2].Seed {
+			t.Errorf("%s shares its seed with %s", res[i].Label, res[i-2].Label)
+		}
+	}
+	b, err := Fig6("fpppp", campaignOpt(opt, ftsim.WithCampaignSeed(12)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,31 +96,73 @@ func TestCampaignSeedMatters(t *testing.T) {
 	}
 }
 
+// TestCampaignCheckpoint runs Fig 6 with a checkpoint directory: a
+// rerun without Resume is refused and names the journal, a resumed run
+// restores every trial and returns the same rows, and another
+// benchmark in the same directory starts its own journal.
+func TestCampaignCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	var rep *ftsim.CampaignReport
+	opt := Options{MaxInsts: 2_000, CheckpointDir: dir, Report: func(r *ftsim.CampaignReport) { rep = r }}
+	want, err := Fig6("fpppp", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "fig6-fpppp.ckpt")
+	if _, err := Fig6("fpppp", opt); err == nil || !strings.Contains(err.Error(), path) {
+		t.Errorf("rerun without Resume: err = %v, want a refusal naming %s", err, path)
+	}
+
+	resume := opt
+	resume.Resume = true
+	rep = nil
+	got, err := Fig6("fpppp", resume)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("resumed rows differ:\n%+v\n%+v", got, want)
+	}
+	if rep == nil || rep.Resumed != 20 {
+		t.Errorf("resumed report: %+v, want 20 resumed trials", rep)
+	}
+
+	if _, err := Fig6("gcc", opt); err != nil {
+		t.Fatalf("gcc run next to an fpppp journal: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "fig6-gcc.ckpt")); err != nil {
+		t.Errorf("gcc run did not start its own journal: %v", err)
+	}
+}
+
 // TestCampaignProgress checks the per-trial progress stream the CLIs
 // attach: one callback per grid point, labels carrying the experiment
 // name.
 func TestCampaignProgress(t *testing.T) {
 	var labels []string
-	var rep *campaign.Report
-	opt := Options{MaxInsts: 2_000, Parallel: 1}
-	opt.Progress = func(done, total int, r campaign.Result) {
-		if total != 11 {
-			t.Errorf("total = %d, want 11", total)
-		}
-		labels = append(labels, r.Label)
+	var rep *ftsim.CampaignReport
+	opt := Options{MaxInsts: 2_000}
+	opt.Campaign = []ftsim.CampaignOption{
+		ftsim.WithWorkers(1),
+		ftsim.WithCampaignProgress(func(done, total int, r ftsim.TrialResult) {
+			if total != 33 {
+				t.Errorf("total = %d, want 33", total)
+			}
+			labels = append(labels, r.Label)
+		}),
 	}
-	opt.Report = func(r *campaign.Report) { rep = r }
-	if _, err := Table2(opt); err != nil {
+	opt.Report = func(r *ftsim.CampaignReport) { rep = r }
+	if _, err := Fig5(opt); err != nil {
 		t.Fatal(err)
 	}
-	if rep == nil || rep.TrialSeconds.N() != 11 || rep.Workers != 1 || rep.Spec != "table2" {
+	if rep == nil || rep.TrialSeconds.N() != 33 || rep.Workers != 1 || rep.Spec != "fig5" {
 		t.Fatalf("report hook: %+v", rep)
 	}
-	if len(labels) != 11 {
+	if len(labels) != 33 {
 		t.Fatalf("got %d progress callbacks", len(labels))
 	}
 	for _, l := range labels {
-		if !strings.HasPrefix(l, "table2/") {
+		if !strings.HasPrefix(l, "fig5/") {
 			t.Errorf("label %q missing experiment prefix", l)
 		}
 	}

@@ -4,20 +4,20 @@
 // the paper's qualitative claims) and has a Print companion that renders
 // the same rows a reader would compare against the paper.
 //
-// All simulation-backed drivers are thin grids over the public ftsim
-// facade: every trial builds an ftsim machine from a serializable
-// ftsim.Config and runs it under the campaign context, so experiments
-// exercise exactly the API embedders use.
+// Every simulation-backed driver builds a grid of ftsim.Trial values and
+// runs it through ftsim.RunCampaign, the same entry point the ftsimd
+// daemon uses, so experiments exercise exactly the API embedders use.
+// Table 2 runs the functional simulator directly, in a plain loop.
 package experiments
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"time"
+	"os"
+	"path/filepath"
 
 	"repro/ftsim"
-	"repro/internal/campaign"
 	"repro/internal/funcsim"
 	"repro/internal/model"
 	"repro/internal/stats"
@@ -30,28 +30,14 @@ type Options struct {
 	// (the paper simulates 1B per benchmark; the default here keeps the
 	// full suite interactive).
 	MaxInsts uint64
-	// FaultSeed is the campaign master seed: each trial's fault-injection
-	// seed is derived from it and the trial's grid index, so a whole
-	// experiment is reproducible from this one number.
-	FaultSeed int64
-	// Parallel is the campaign worker-pool size: 0 uses GOMAXPROCS,
-	// 1 forces a serial run. Results are identical for any value.
-	Parallel int
-	// Context, when non-nil, cancels the campaign: dispatch stops and
+	// Context, when non-nil, cancels the experiment: dispatch stops and
 	// in-flight simulations abort promptly (the context is plumbed
 	// through the worker pool into every pipeline loop).
 	Context context.Context
-	// Progress, when non-nil, observes every campaign trial completion.
-	Progress campaign.Progress
 	// Report, when non-nil, receives each finished campaign's report
-	// (worker count, wall time, streaming trial-time aggregates).
-	Report func(*campaign.Report)
-	// Metrics, when non-nil, receives campaign instrumentation (trial
-	// durations and outcomes, retries, checkpoint fsyncs) for every
-	// experiment run under these options. A pure tap: results are
-	// identical with and without it.
-	Metrics *campaign.Metrics
-
+	// (worker count, wall time, streaming trial-time aggregates, error
+	// manifest), also when the campaign returns an error.
+	Report func(*ftsim.CampaignReport)
 	// CheckpointDir, when non-empty, journals each campaign's completed
 	// trials to <dir>/<campaign>.ckpt so a killed run can resume. A
 	// non-empty journal is only resumed when Resume is also set;
@@ -61,14 +47,9 @@ type Options struct {
 	// Resume permits resuming existing checkpoint journals: completed
 	// trials are restored from disk and only the remainder simulates.
 	Resume bool
-	// TrialTimeout, when positive, bounds each trial with a per-trial
-	// deadline (campaign.Runner.TrialTimeout).
-	TrialTimeout time.Duration
-	// Retries re-attempts retryable trial failures this many times.
-	Retries int
-	// Contain keeps a campaign running past trial failures, collecting
-	// an error manifest instead of cancelling the grid.
-	Contain bool
+	// Campaign is passed unchanged to every ftsim.RunCampaign call:
+	// worker count, campaign seed, progress, metrics, containment.
+	Campaign []ftsim.CampaignOption
 }
 
 // Defaults fills zero fields.
@@ -76,30 +57,71 @@ func (o Options) defaults() Options {
 	if o.MaxInsts == 0 {
 		o.MaxInsts = 200_000
 	}
-	if o.FaultSeed == 0 {
-		o.FaultSeed = 1
+	if o.Context == nil {
+		o.Context = context.Background()
 	}
 	return o
 }
 
-// workloadIters is the loop bound baked into generated benchmarks; runs
-// are always cut off by MaxInsts first.
-const workloadIters = int64(1) << 32
+// simPoint is one (benchmark, machine configuration) cell of an
+// experiment grid.
+type simPoint struct {
+	label string
+	bench string
+	cfg   ftsim.Config
+}
 
-// runBench simulates one benchmark on one machine configuration through
-// the public facade, honouring the campaign context.
-func runBench(ctx context.Context, bench string, cfg ftsim.Config, opt Options) (*ftsim.Stats, error) {
-	program, err := ftsim.Benchmark(bench)
+// runGrid runs the points as one campaign and returns their statistics
+// in grid order. seedIndex, when non-nil, pairs trials onto shared
+// fault streams (ftsim.WithTrialSeedIndex), so controlled comparisons
+// (R=2 vs R=3 at one fault rate, a penalty sweep at one rate) measure
+// the design's difference, not the RNG's. Each benchmark's program is
+// built once per grid.
+func runGrid(name string, points []simPoint, seedIndex func(int) int, opt Options) ([]*ftsim.Stats, error) {
+	progs := make(map[string]*ftsim.Program)
+	trials := make([]ftsim.Trial, len(points))
+	for i, pt := range points {
+		program, ok := progs[pt.bench]
+		if !ok {
+			var err error
+			if program, err = ftsim.Benchmark(pt.bench); err != nil {
+				return nil, err
+			}
+			progs[pt.bench] = program
+		}
+		cfg := pt.cfg
+		cfg.MaxInsts = opt.MaxInsts
+		cfg.MaxCycles = opt.MaxInsts * 100 // generous safety net
+		trials[i] = ftsim.Trial{Label: pt.label, Config: cfg, Program: program}
+	}
+	copts := append([]ftsim.CampaignOption(nil), opt.Campaign...)
+	if seedIndex != nil {
+		copts = append(copts, ftsim.WithTrialSeedIndex(seedIndex))
+	}
+	if opt.CheckpointDir != "" {
+		path := filepath.Join(opt.CheckpointDir, name+".ckpt")
+		if !opt.Resume {
+			// A non-empty journal the caller did not ask to resume is a
+			// footgun either way: silently resuming surprises a user who
+			// wanted a fresh run, silently overwriting destroys completed
+			// work. Make the choice explicit.
+			if fi, err := os.Stat(path); err == nil && fi.Size() > 0 {
+				return nil, fmt.Errorf("experiments: checkpoint %s already holds a journal; resume it (Options.Resume / ftexp -resume) or delete it to start over", path)
+			}
+		}
+		if err := os.MkdirAll(opt.CheckpointDir, 0o755); err != nil {
+			return nil, fmt.Errorf("experiments: checkpoint: %w", err)
+		}
+		copts = append(copts, ftsim.WithCheckpoint(path))
+	}
+	rep, err := ftsim.RunCampaign(opt.Context, name, trials, copts...)
+	if rep != nil && opt.Report != nil {
+		opt.Report(rep)
+	}
 	if err != nil {
 		return nil, err
 	}
-	cfg.MaxInsts = opt.MaxInsts
-	cfg.MaxCycles = opt.MaxInsts * 100 // generous safety net
-	m, err := ftsim.NewFromConfig(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return m.Run(ctx, program)
+	return ftsim.CollectStats(rep)
 }
 
 // ---------------------------------------------------------------------
@@ -135,59 +157,41 @@ type MixRow struct {
 	Profile  workload.Profile
 }
 
+// workloadIters is the loop bound baked into generated benchmarks; runs
+// are always cut off by MaxInsts first.
+const workloadIters = int64(1) << 32
+
 // Table2 measures each synthetic benchmark's dynamic mix on the
-// functional simulator, one campaign trial per benchmark.
+// functional simulator.
 func Table2(opt Options) ([]MixRow, error) {
 	opt = opt.defaults()
 	profiles := workload.Table2()
-	trials := make([]campaign.Trial, len(profiles))
-	for i := range profiles {
-		p := profiles[i]
-		trials[i] = campaign.Trial{
-			Label: "table2/" + p.Name,
-			Run: func(ctx context.Context, _ int64) (any, error) {
-				program, err := p.Build(workloadIters)
-				if err != nil {
-					return nil, err
-				}
-				// The functional simulator has no context plumbing of its
-				// own; stepping it in bounded chunks keeps the trial
-				// responsive to campaign cancellation without changing
-				// the measured mix (the stepper is deterministic, so N
-				// chunked runs equal one straight run).
-				const chunk = 65_536
-				m := funcsim.New(program)
-				for {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-					lim := m.Insts + chunk
-					if lim > opt.MaxInsts {
-						lim = opt.MaxInsts
-					}
-					err := m.Run(lim)
-					if err == nil || m.Insts >= opt.MaxInsts {
-						break // halted or budget exhausted
-					}
-					if err != funcsim.ErrLimit {
-						return nil, fmt.Errorf("table2 %s: %w", p.Name, err)
-					}
-				}
-				return m.Mix(), nil
-			},
-		}
-	}
-	rep, err := runCampaign("table2", trials, nil, jsonCodec[funcsim.Mix](), opt)
-	if err != nil {
-		return nil, err
-	}
-	mixes, err := campaign.Collect[funcsim.Mix](rep)
-	if err != nil {
-		return nil, err
-	}
 	rows := make([]MixRow, len(profiles))
 	for i, p := range profiles {
-		rows[i] = MixRow{Bench: p.Name, Measured: mixes[i], Profile: p}
+		program, err := p.Build(workloadIters)
+		if err != nil {
+			return nil, err
+		}
+		// The functional simulator has no context plumbing of its own;
+		// stepping it in bounded chunks keeps the run responsive to
+		// cancellation without changing the measured mix (the stepper is
+		// deterministic, so N chunked runs equal one straight run).
+		const chunk = 65_536
+		m := funcsim.New(program)
+		for {
+			if err := opt.Context.Err(); err != nil {
+				return nil, err
+			}
+			lim := min(m.Insts+chunk, opt.MaxInsts)
+			err := m.Run(lim)
+			if err == nil || m.Insts >= opt.MaxInsts {
+				break // halted or budget exhausted
+			}
+			if err != funcsim.ErrLimit {
+				return nil, fmt.Errorf("table2 %s: %w", p.Name, err)
+			}
+		}
+		rows[i] = MixRow{Bench: p.Name, Measured: m.Mix(), Profile: p}
 	}
 	return rows, nil
 }
@@ -280,7 +284,7 @@ func Fig5(opt Options) ([]Fig5Row, error) {
 			simPoint{"fig5/" + p.Name + "/Static-2", p.Name, ftsim.ModelStatic2.Config()},
 			simPoint{"fig5/" + p.Name + "/SS-2", p.Name, ftsim.ModelSS2.Config()})
 	}
-	sts, err := runGrid("fig5", points, opt)
+	sts, err := runGrid("fig5", points, nil, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -342,7 +346,7 @@ func Fig6(bench string, opt Options) ([]Fig6Row, error) {
 	ratesPerM := []float64{0, 1, 10, 100, 1000, 5000, 10_000, 20_000, 50_000, 100_000}
 	points := make([]simPoint, 0, 2*len(ratesPerM))
 	for _, rm := range ratesPerM {
-		// Seed is set per trial by the campaign grid (runGridGrouped).
+		// Seed is set per trial by the campaign (ftsim.RunCampaign).
 		fc := ftsim.FaultConfig{Rate: rm / 1e6, Targets: ftsim.AllFaultTargets()}
 		ss2 := ftsim.ModelSS2.Config()
 		ss2.Fault = fc
@@ -354,7 +358,7 @@ func Fig6(bench string, opt Options) ([]Fig6Row, error) {
 	}
 	// The R=2 and R=3 arms at one fault rate share a seed group, so each
 	// row compares the two designs under the identical fault stream.
-	sts, err := runGridGrouped("fig6", points, func(i int) int { return i / 2 }, opt)
+	sts, err := runGrid("fig6-"+bench, points, func(i int) int { return i / 2 }, opt)
 	if err != nil {
 		return nil, err
 	}

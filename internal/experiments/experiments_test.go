@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/ftsim"
 )
 
 // testOpt keeps simulation budgets small enough for the test suite while
@@ -126,7 +128,7 @@ func TestFig6Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full fault-frequency sweep; skipped in -short (TestCampaignDeterminism covers the fig6 path)")
 	}
-	rows, err := Fig6("fpppp", Options{MaxInsts: 20_000, FaultSeed: 3})
+	rows, err := Fig6("fpppp", Options{MaxInsts: 20_000, Campaign: []ftsim.CampaignOption{ftsim.WithCampaignSeed(3)}})
 	if err != nil {
 		t.Fatal(err)
 	}

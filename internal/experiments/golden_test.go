@@ -54,7 +54,7 @@ func renderAll(t *testing.T, opt Options) string {
 // intentional change of results.
 func TestTablesGolden(t *testing.T) {
 	path := filepath.Join("testdata", "golden", "tables.txt")
-	got := renderAll(t, Options{MaxInsts: 5_000, FaultSeed: 1})
+	got := renderAll(t, Options{MaxInsts: 5_000})
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)

@@ -93,7 +93,7 @@ func Sensitivity(opt Options) ([]SensRow, error) {
 			points = append(points, simPoint{"sens/" + p.Name + "/" + s.name, p.Name, s.cfg})
 		}
 	}
-	sts, err := runGrid("sensitivity", points, opt)
+	sts, err := runGrid("sensitivity", points, nil, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -163,7 +163,7 @@ func AblateCoSchedule(benches []string, opt Options) ([]CoSchedRow, error) {
 			simPoint{"cosched/" + name + "/default", name, ftsim.ModelSS2.Config()},
 			simPoint{"cosched/" + name + "/co-scheduled", name, cs})
 	}
-	sts, err := runGrid("ablate-cosched", points, opt)
+	sts, err := runGrid("ablate-cosched", points, nil, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -215,7 +215,7 @@ func AblateCommitWidth(bench string, widths []int, opt Options) ([]CommitWidthRo
 			simPoint{fmt.Sprintf("commit/%s/SS-1/w%d", bench, wd), bench, c1},
 			simPoint{fmt.Sprintf("commit/%s/SS-2/w%d", bench, wd), bench, c2})
 	}
-	sts, err := runGrid("ablate-commit", points, opt)
+	sts, err := runGrid("ablate-commit-"+bench, points, nil, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -261,14 +261,14 @@ func AblateRecoveryGrain(bench string, faultsPerM float64, penalties []int, opt 
 	points := make([]simPoint, 0, len(penalties))
 	for _, pen := range penalties {
 		cfg := ftsim.ModelSS2.Config()
-		// Seed is set per trial by the campaign grid (runGridGrouped).
+		// Seed is set per trial by the campaign (ftsim.RunCampaign).
 		cfg.Fault = ftsim.FaultConfig{Rate: faultsPerM / 1e6, Targets: ftsim.AllFaultTargets()}
 		cfg.RecoveryPenalty = pen
 		points = append(points, simPoint{fmt.Sprintf("recovery/%s/pen%d", bench, pen), bench, cfg})
 	}
 	// Every penalty arm shares one seed group: the sweep varies only the
 	// recovery cost, so all arms must see the identical fault stream.
-	sts, err := runGridGrouped("ablate-recovery", points, func(int) int { return 0 }, opt)
+	sts, err := runGrid("ablate-recovery-"+bench, points, func(int) int { return 0 }, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -111,8 +111,8 @@ func (b localBackend) Run(ctx context.Context, j *Job) (*Result, error) {
 			j.Publish(ev)
 		}),
 	}
-	if j.SeedOffset != 0 {
-		opts = append(opts, ftsim.WithTrialSeedOffset(j.SeedOffset))
+	if off := j.SeedOffset; off != 0 {
+		opts = append(opts, ftsim.WithTrialSeedIndex(func(i int) int { return off + i }))
 	}
 	if b.s.cfg.TrialTimeout > 0 {
 		opts = append(opts, ftsim.WithTrialTimeout(b.s.cfg.TrialTimeout))
