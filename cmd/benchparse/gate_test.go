@@ -103,3 +103,39 @@ func TestParseLine(t *testing.T) {
 		t.Error("parseLine accepted garbage")
 	}
 }
+
+func TestParseRecordsHost(t *testing.T) {
+	out := `goos: linux
+goarch: amd64
+pkg: repro
+cpu: Test CPU @ 1.00GHz
+BenchmarkCampaign/serial-4   	      20	 110804812 ns/op	47176520 B/op	    2795 allocs/op	       297.8 gridTrials/s
+PASS
+`
+	f := &File{}
+	results, err := parse(strings.NewReader(out), f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 1 || results[0].Name != "BenchmarkCampaign/serial" {
+		t.Fatalf("results %+v", results)
+	}
+	if f.Goos != "linux" || f.Goarch != "amd64" || f.CPU != "Test CPU @ 1.00GHz" || f.Gomaxprocs != 4 {
+		t.Errorf("header %+v", f)
+	}
+	// go test appends no suffix at GOMAXPROCS=1.
+	if _, err := parse(strings.NewReader("BenchmarkX   1   5 ns/op\n"), f); err != nil || f.Gomaxprocs != 1 {
+		t.Errorf("unsuffixed line: gomaxprocs %d, err %v", f.Gomaxprocs, err)
+	}
+
+	same := &File{CPU: f.CPU, Nproc: 2, Gomaxprocs: 1}
+	if msg := hostMismatch(same, &File{CPU: f.CPU, Nproc: 2, Gomaxprocs: 1}); msg != "" {
+		t.Errorf("same host reported as %q", msg)
+	}
+	if msg := hostMismatch(&File{CPU: f.CPU}, same); msg != "" {
+		t.Errorf("baseline without host fields reported as %q", msg)
+	}
+	if msg := hostMismatch(same, &File{CPU: f.CPU, Nproc: 8, Gomaxprocs: 8}); !strings.Contains(msg, "nproc 2 vs 8") || !strings.Contains(msg, "gomaxprocs 1 vs 8") {
+		t.Errorf("host mismatch reported as %q", msg)
+	}
+}

@@ -31,7 +31,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -50,12 +52,16 @@ type Result struct {
 }
 
 // File is the on-disk schema: environment header plus per-label results.
+// Nproc (the host's CPU count) and Gomaxprocs (the benchmarks'
+// GOMAXPROCS) tell whether two trajectories came from comparable hosts.
 type File struct {
-	Note   string              `json:"note,omitempty"`
-	Goos   string              `json:"goos,omitempty"`
-	Goarch string              `json:"goarch,omitempty"`
-	CPU    string              `json:"cpu,omitempty"`
-	Labels map[string][]Result `json:"labels"`
+	Note       string              `json:"note,omitempty"`
+	Goos       string              `json:"goos,omitempty"`
+	Goarch     string              `json:"goarch,omitempty"`
+	CPU        string              `json:"cpu,omitempty"`
+	Nproc      int                 `json:"nproc,omitempty"`
+	Gomaxprocs int                 `json:"gomaxprocs,omitempty"`
+	Labels     map[string][]Result `json:"labels"`
 }
 
 func main() {
@@ -87,30 +93,12 @@ func main() {
 		f.Note = *note
 	}
 
-	var results []Result
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "goos:"):
-			f.Goos = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
-		case strings.HasPrefix(line, "goarch:"):
-			f.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
-		case strings.HasPrefix(line, "cpu:"):
-			f.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
-		}
-		if !strings.HasPrefix(line, "Benchmark") {
-			continue
-		}
-		if r, ok := parseLine(line); ok {
-			results = append(results, r)
-		}
-	}
-	if err := sc.Err(); err != nil {
+	results, err := parse(os.Stdin, f)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchparse: read: %v\n", err)
 		os.Exit(1)
 	}
+	f.Nproc = runtime.NumCPU()
 	if len(results) == 0 {
 		fmt.Fprintln(os.Stderr, "benchparse: no benchmark lines on stdin")
 		os.Exit(1)
@@ -139,6 +127,9 @@ func main() {
 		if err := json.Unmarshal(data, base); err != nil {
 			fmt.Fprintf(os.Stderr, "benchparse: gate baseline %s: %v\n", *gateFile, err)
 			os.Exit(1)
+		}
+		if msg := hostMismatch(base, f); msg != "" {
+			fmt.Printf("benchparse: gate: WARNING: %s; throughput comparisons cross hosts\n", msg)
 		}
 		baseline, ok := base.Labels[*gateLabel]
 		if !ok {
@@ -212,6 +203,62 @@ func gate(cur, baseline []Result, allocT, speedT float64) (regressions, skipped 
 	return regressions, skipped, compared
 }
 
+// parse reads `go test -bench` output, recording the environment
+// header lines (goos, goarch, cpu) and the GOMAXPROCS the benchmarks
+// ran at in f, and returns the parsed result lines.
+func parse(r io.Reader, f *File) ([]Result, error) {
+	var results []Result
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "goos:"):
+			f.Goos = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
+		case strings.HasPrefix(line, "goarch:"):
+			f.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
+		case strings.HasPrefix(line, "cpu:"):
+			f.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
+		}
+		if !strings.HasPrefix(line, "Benchmark") {
+			continue
+		}
+		if r, ok := parseLine(line); ok {
+			results = append(results, r)
+			_, f.Gomaxprocs = splitProcs(strings.Fields(line)[0])
+		}
+	}
+	return results, sc.Err()
+}
+
+// splitProcs splits a benchmark name into the name proper and the
+// GOMAXPROCS suffix go test appends to it ("BenchmarkX-8"); go test
+// appends none when GOMAXPROCS is 1.
+func splitProcs(name string) (string, int) {
+	if i := strings.LastIndex(name, "-"); i > 0 {
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			return name[:i], n
+		}
+	}
+	return name, 1
+}
+
+// hostMismatch describes how two files' hosts differ, or returns "" when
+// they match or a file predates the host fields.
+func hostMismatch(base, cur *File) string {
+	var diffs []string
+	if base.CPU != "" && cur.CPU != "" && base.CPU != cur.CPU {
+		diffs = append(diffs, fmt.Sprintf("cpu %q vs %q", base.CPU, cur.CPU))
+	}
+	if base.Nproc != 0 && cur.Nproc != 0 && base.Nproc != cur.Nproc {
+		diffs = append(diffs, fmt.Sprintf("nproc %d vs %d", base.Nproc, cur.Nproc))
+	}
+	if base.Gomaxprocs != 0 && cur.Gomaxprocs != 0 && base.Gomaxprocs != cur.Gomaxprocs {
+		diffs = append(diffs, fmt.Sprintf("gomaxprocs %d vs %d", base.Gomaxprocs, cur.Gomaxprocs))
+	}
+	return strings.Join(diffs, ", ")
+}
+
 // parseLine parses one benchmark result line of the form
 //
 //	BenchmarkName-8   123   456.7 ns/op   89 B/op   1 allocs/op   2.5 widget/s
@@ -220,13 +267,7 @@ func parseLine(line string) (Result, bool) {
 	if len(fields) < 4 {
 		return Result{}, false
 	}
-	name := fields[0]
-	if i := strings.LastIndex(name, "-"); i > 0 {
-		// Strip the GOMAXPROCS suffix goified onto the name.
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
-		}
-	}
+	name, _ := splitProcs(fields[0])
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
 		return Result{}, false

@@ -87,7 +87,9 @@ type mapRef struct {
 // ruu is the circular Register Update Unit. Storage is rounded up to a
 // power of two so every ring-index step is a mask instead of a divide;
 // the architectural capacity (how many entries may be live at once) stays
-// the configured size, enforced by free()/alloc().
+// the configured size, enforced by free()/alloc(). Every free slot is
+// Entry{}: release, truncateAfter and reset zero the slots they free,
+// and dispatch relies on it to write only an entry's non-zero fields.
 type ruu struct {
 	entries []Entry
 	mask    int // len(entries) - 1

@@ -17,33 +17,62 @@ import (
 // scheduler's — same cycle count, same rewinds, same injected-fault
 // accounting, same outputs. Any divergence in wakeup order, completion
 // order or issue selection shows up here as a stats mismatch.
+//
+// Beyond the redundancy degrees, the variants stress the ready set's
+// scan: majority election at R=3, the Static-2 half pipeline (issue
+// width 4, the most saturated functional-unit pools), an RUU smaller
+// than one bitmap word, and a four-word RUU whose head wraps across
+// words. Under -short (the race job) these run on three programs only:
+// the branchiest (gcc), the most FU-limited (fpppp) and a divide-bound
+// one (ammp).
 func TestScanVsEventEquivalence(t *testing.T) {
 	type variant struct {
-		name    string
-		r       int
-		cosched bool
+		name     string
+		r        int
+		cosched  bool
+		majority bool
+		halved   bool // cpu.Halved (Static-2) instead of Baseline
+		ruu      int  // RUU size override (LSQ = ruu/2); 0 keeps the base
 	}
 	variants := []variant{
-		{"R1", 1, false},
-		{"R2", 2, false},
-		{"R2-cosched", 2, true},
-		{"R3", 3, false},
+		{name: "R1", r: 1},
+		{name: "R2", r: 2},
+		{name: "R2-cosched", r: 2, cosched: true},
+		{name: "R3", r: 3},
+		{name: "R3-majority", r: 3, majority: true},
+		{name: "Static2", r: 1, halved: true},
+		{name: "R2-RUU16", r: 2, ruu: 16},
+		{name: "R2-RUU256", r: 2, ruu: 256},
 	}
+	const baseVariants = 4 // R1..R3 run on every program, -short or not
+	shortPrograms := map[string]bool{"gcc": true, "fpppp": true, "ammp": true}
 	for _, p := range workload.Table2() {
 		p := p
 		program, err := p.Build(1 << 32)
 		if err != nil {
 			t.Fatalf("%s: build: %v", p.Name, err)
 		}
-		for _, v := range variants {
+		for i, v := range variants {
 			v := v
+			if testing.Short() && i >= baseVariants && !shortPrograms[p.Name] {
+				continue
+			}
 			t.Run(fmt.Sprintf("%s/%s", p.Name, v.name), func(t *testing.T) {
 				run := func(naive bool) (*Machine, *Stats, error) {
 					cfg := Baseline()
+					if v.halved {
+						cfg = Halved()
+					}
+					if v.ruu > 0 {
+						cfg.RUUSize, cfg.LSQSize = v.ruu, v.ruu/2
+					}
 					cfg.R = v.r
 					cfg.CoSchedule = v.cosched
 					if v.r > 1 {
 						cfg.Checker = RewindChecker{}
+						if v.majority {
+							cfg.Checker = &MajorityChecker{R: v.r, Threshold: 2}
+						}
 						cfg.RUUSize -= cfg.RUUSize % v.r
 					}
 					// Each run needs its own injector: the RNG stream is

@@ -254,9 +254,9 @@ func (m *Machine) groupCopy0(idx int, e *Entry) *Entry {
 // branchRewind squashes every entry younger than the resolving branch's
 // group and redirects fetch to the resolved target. All copies of the
 // group adopt the new expected path so identical resolutions do not
-// re-trigger. The event structures (wait-lists, ready queue, calendar)
-// are repaired lazily: their records carry the squashed entries' seqs
-// and are dropped when they next surface (see sched.go).
+// re-trigger. The event structures (wait-lists, ready set, calendar)
+// are repaired lazily: stale records and bits are dropped when they
+// next surface (see sched.go).
 func (m *Machine) branchRewind(idx int, e *Entry) {
 	// The group occupies copies 0..R-1; the boundary is the last copy.
 	copy0Idx := m.ruu.wrap(idx - e.Copy)

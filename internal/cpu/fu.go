@@ -50,6 +50,18 @@ func (p *fuPool) tryIssue(now uint64, latency int, pipelined bool, prefer int) i
 	return pick
 }
 
+// anyFree reports whether some instance can accept an operation at
+// cycle now. When it is false every tryIssue this cycle fails, whatever
+// instance it prefers.
+func (p *fuPool) anyFree(now uint64) bool {
+	for _, b := range p.busyUntil {
+		if b <= now {
+			return true
+		}
+	}
+	return false
+}
+
 // units returns the number of physical instances.
 func (p *fuPool) units() int { return len(p.busyUntil) }
 

@@ -60,8 +60,7 @@ type Machine struct {
 	issueFn     func()
 	writebackFn func()
 	waitlists   [][]waiter // per-RUU-slot consumer lists
-	ready       readyQueue
-	retry       []readyRec // issue-stage scratch, reused across cycles
+	ready       readySet
 	cal         calendar
 	dec         *decCache
 
@@ -310,7 +309,7 @@ func (m *Machine) redirect(pc uint64) {
 func (m *Machine) dispatch() {
 	budget := m.cfg.DispatchWidth
 	for budget >= m.cfg.R && !m.fetchQ.empty() {
-		fi := *m.fetchQ.front()
+		fi := m.fetchQ.front() // popped once all R copies are written
 		oi := fi.oi
 		if m.ruu.free() < m.cfg.R {
 			m.stats.DispatchRUUFull++
@@ -320,7 +319,6 @@ func (m *Machine) dispatch() {
 			m.stats.DispatchLSQFull++
 			return
 		}
-		m.fetchQ.pop()
 		m.gid++
 
 		var lsqIdx = -1
@@ -335,20 +333,21 @@ func (m *Machine) dispatch() {
 			if wl := m.waitlists[idx]; len(wl) > 0 {
 				m.waitlists[idx] = wl[:0]
 			}
+			m.ready.clearSlot(idx)
+			// Free slots are Entry{} (see ruu), so only the non-zero
+			// fields are written.
 			e := m.ruu.at(idx)
 			m.seq++
-			*e = Entry{
-				Valid:    true,
-				Seq:      m.seq,
-				GID:      m.gid,
-				Copy:     k,
-				PC:       fi.pc,
-				Inst:     fi.inst,
-				OI:       oi,
-				PredNext: fi.predNext,
-				LSQ:      -1,
-				FUUnit:   -1,
-			}
+			e.Valid = true
+			e.Seq = m.seq
+			e.GID = m.gid
+			e.Copy = k
+			e.PC = fi.pc
+			e.Inst = fi.inst
+			e.OI = oi
+			e.PredNext = fi.predNext
+			e.LSQ = -1
+			e.FUUnit = -1
 			if k == 0 {
 				e.Pred = fi.pred
 				e.LSQ = lsqIdx
@@ -370,12 +369,13 @@ func (m *Machine) dispatch() {
 				m.renameCopyK(idx, e, copy0, k)
 			}
 			if m.eventSched && e.ready() {
-				m.ready.push(readyRec{idx: int32(idx), seq: e.Seq})
+				m.ready.add(idx, issueClass(e))
 			}
 			m.emit(trace.StageDispatch, e)
 			m.stats.Dispatched++
 			budget--
 		}
+		m.fetchQ.pop()
 	}
 }
 

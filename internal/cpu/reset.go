@@ -18,7 +18,7 @@ const watchCap = 8
 
 // Reset re-initialises the machine in place for a fresh run of program
 // p under cfg, reusing every allocation whose geometry still fits:
-// the RUU/LSQ entry slabs, wait-lists, ready queue, completion
+// the RUU/LSQ entry slabs, wait-lists, ready set, completion
 // calendar, decode cache, fetch ring, functional units, cache line
 // slabs, branch predictor tables and memory pages. Structures whose
 // geometry changed (for example a different RUU size) are rebuilt.
@@ -120,11 +120,6 @@ func (m *Machine) resetHardware(cfg Config) {
 		}
 	}
 	m.ready.init(storage)
-	if cap(m.retry) < storage {
-		m.retry = make([]readyRec, 0, storage)
-	} else {
-		m.retry = m.retry[:0]
-	}
 	m.cal.init()
 	if m.dec == nil {
 		m.dec = new(decCache)

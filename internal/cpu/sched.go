@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"math/bits"
+
 	"repro/internal/isa"
 	"repro/internal/trace"
 )
@@ -28,74 +30,96 @@ func nextPow2(n int) int {
 //   - calendar: a completion time-wheel keyed on DoneAt (with a min-heap
 //     fallback for latencies beyond the wheel), so writeback visits only
 //     the entries finishing this cycle (replaces the writeback scan);
-//   - readyQueue: a seq-ordered min-heap of issuable entries fed by
-//     dispatch and wakeup, so issue considers only ready entries
-//     (replaces the issue scan).
+//   - readySet: one bitmap per issue class over the RUU ring slots,
+//     set by dispatch, wakeup and copy 0 load completion, so issue
+//     visits only ready entries, and skips a functional-unit pool once
+//     it is saturated for the cycle (replaces the issue scan).
 //
-// Squash repair is lazy: every record carries the (ring index, seq) pair
-// of the entry it refers to, and a record whose seq no longer matches the
-// entry at its index is dropped when it surfaces. This is sound because
-// seqs are never reused: a squashed entry's slot is either empty (Valid
-// false) or re-allocated under a strictly larger seq, so stale records
-// can never act on the wrong instruction. Producer wait-lists are
-// additionally cleared when their slot is re-allocated, which bounds
-// them without a scan. Determinism is preserved because every queue is
-// drained in seq order — exactly the oldest-first order the scans
-// enforced — so the sequence of functional-unit reservations, fault-
+// Squash repair is lazy. Wait-list and calendar records carry the (ring
+// index, seq) pair of the entry they refer to, and a record whose seq no
+// longer matches the entry at its index is dropped when it surfaces.
+// This is sound because seqs are never reused: a squashed entry's slot
+// is either empty (Valid false) or re-allocated under a strictly larger
+// seq, so stale records can never act on the wrong instruction. A ready
+// bit needs no seq: dispatch clears a slot's bits and its wait-list when
+// it allocates the slot, so a surviving bit either belongs to the
+// slot's current entry or sits on an empty slot, where the issue stage
+// clears it on sight. Determinism is preserved because every structure
+// is drained in seq order: the calendar sorts each cycle's completions,
+// and the ready bitmaps are walked in ring order from the RUU head,
+// which is seq order. That is exactly the oldest-first order the scans
+// enforced, so the sequence of functional-unit reservations, fault-
 // injector rolls and branch rewinds is bit-identical to the scan-based
 // kernel (TestScanVsEventEquivalence is the referee).
 
-// readyRec identifies one entry awaiting issue.
-type readyRec struct {
-	idx int32
-	seq uint64
+// Issue classes. Each functional-unit pool is one class, so the issue
+// stage can stop scanning a pool once it is saturated for the cycle;
+// redundant load copies (gated on their group's single memory access)
+// form one more class, which is always scanned because their gate check
+// runs before the pool check and parks them as a side effect.
+const (
+	classGated   = int(isa.NumPools)
+	readyClasses = classGated + 1
+	// classStride is the distance between one class's consecutive
+	// bitmap words: readyClasses rounded up to 8, so the row of all
+	// classes' words for one 64-slot span fills one cache line.
+	classStride = 8
+	allClasses  = uint8(1)<<readyClasses - 1
+)
+
+// issueClass returns the issue class of a dispatched entry.
+func issueClass(e *Entry) int {
+	if e.OI.IsLoad && e.Copy != 0 {
+		return classGated
+	}
+	return int(e.OI.Pool)
 }
 
-// readyQueue holds the issuable entries in age order. `list` is the
-// seq-sorted pending set carried across cycles; `in` collects the
-// cycle's arrivals (dispatch and wakeup push here) and is merged into
-// the pending set by the issue pass. A sorted list beats a heap here
-// because every pending entry is reconsidered each cycle anyway — the
-// merge walk is sequential memory traffic instead of O(log n) sift
-// churn per record.
-type readyQueue struct {
-	list []readyRec // seq-sorted, carried across cycles
-	in   []readyRec // unsorted arrivals since the last issue pass
+// readySet holds the issuable entries: one bitmap per issue class over
+// the RUU ring slots, bit idx set when the entry at ring index idx is
+// waiting to issue. The bitmaps are word-interleaved — word w of class
+// c lives at words[w*classStride+c] — so the union of the classes for
+// one span of 64 slots is one cache line. Each class has max(1,
+// storage/64) words.
+type readySet struct {
+	words []uint64
 }
 
-func (q *readyQueue) push(r readyRec) { q.in = append(q.in, r) }
+// init empties the set for a ring of the given storage size. The
+// backing array is reallocated only when the storage size changes.
+func (s *readySet) init(storage int) {
+	if n := max(1, storage/64) * classStride; len(s.words) != n {
+		s.words = make([]uint64, n)
+		return
+	}
+	clear(s.words)
+}
 
-func (q *readyQueue) empty() bool { return len(q.list) == 0 && len(q.in) == 0 }
+func (s *readySet) add(idx, class int) {
+	s.words[(idx>>6)*classStride+class] |= 1 << (idx & 63)
+}
 
-// sortIn orders the cycle's arrivals by seq. Arrivals are pushed in
-// almost-increasing order (dispatch allocates seqs monotonically and
-// wakeups fire oldest-producer-first), so insertion sort is exact and
-// effectively linear.
-func (q *readyQueue) sortIn() {
-	for i := 1; i < len(q.in); i++ {
-		r := q.in[i]
-		j := i - 1
-		for j >= 0 && q.in[j].seq > r.seq {
-			q.in[j+1] = q.in[j]
-			j--
-		}
-		q.in[j+1] = r
+func (s *readySet) remove(idx, class int) {
+	s.words[(idx>>6)*classStride+class] &^= 1 << (idx & 63)
+}
+
+// clearSlot drops slot idx from every class.
+func (s *readySet) clearSlot(idx int) {
+	row := s.words[(idx>>6)*classStride:][:readyClasses]
+	bit := uint64(1) << (idx & 63)
+	for c := range row {
+		row[c] &^= bit
 	}
 }
 
-func (q *readyQueue) reset() { q.list, q.in = q.list[:0], q.in[:0] }
-
-// init empties the queue and pre-sizes both sides to hold n records, so
-// steady-state pushes never grow the backing arrays. Reused queues keep
-// whatever capacity they have already grown to.
-func (q *readyQueue) init(n int) {
-	if cap(q.list) < n {
-		q.list = make([]readyRec, 0, n)
+// union returns word w of the union of the classes in mask.
+func (s *readySet) union(w int, mask uint8) uint64 {
+	row := s.words[w*classStride:][:readyClasses]
+	var u uint64
+	for c, x := range row {
+		u |= x & -uint64(mask>>c&1)
 	}
-	if cap(q.in) < n {
-		q.in = make([]readyRec, 0, n)
-	}
-	q.reset()
+	return u
 }
 
 // waiter records one operand of one consumer waiting on a producer.
@@ -374,8 +398,8 @@ func (f *fetchRing) renew(depth int) *fetchRing {
 // scheduler (test files only) swaps itself in for equivalence testing.
 
 // wakeup delivers a completed result to exactly the consumers registered
-// on the producer's wait-list, and feeds newly ready consumers to the
-// ready queue. It replaces the full-RUU broadcast scan.
+// on the producer's wait-list, and adds newly ready consumers to the
+// ready set. It replaces the full-RUU broadcast scan.
 func (m *Machine) wakeup(idx int, producer *Entry) {
 	wl := m.waitlists[idx]
 	for i := range wl {
@@ -391,7 +415,7 @@ func (m *Machine) wakeup(idx int, producer *Entry) {
 		op.Ready = true
 		op.Value = producer.Result
 		if !c.Issued && c.ready() {
-			m.ready.push(readyRec{idx: w.idx, seq: c.Seq})
+			m.ready.add(int(w.idx), issueClass(c))
 		}
 	}
 	// Every live waiter has been served (completion is broadcast once),
@@ -416,14 +440,14 @@ func (m *Machine) complete(idx int, e *Entry) {
 
 	// A load group's redundant copies are gated on copy 0's single
 	// memory access (Section 5.1.2); they were parked by the issue stage
-	// and become eligible exactly now. Duplicate records are harmless:
-	// the issue pass drops any record whose entry has already issued.
+	// and become eligible exactly now. Setting a bit that is already
+	// set (a copy not yet attempted) is harmless.
 	if e.Copy == 0 && e.OI.IsLoad {
 		for k := 1; k < m.cfg.R; k++ {
 			sidx := m.ruu.wrap(idx + k)
 			s := m.ruu.at(sidx)
 			if s.Valid && s.GID == e.GID && !s.Issued && s.ready() {
-				m.ready.push(readyRec{idx: int32(sidx), seq: s.Seq})
+				m.ready.add(sidx, classGated)
 			}
 		}
 	}
@@ -453,46 +477,62 @@ func (m *Machine) writebackEvent() {
 }
 
 // issueEvent selects ready entries oldest-first, up to IssueWidth
-// successful issues: the cycle's arrivals are merged (in seq order) with
-// the pending set carried from previous cycles, which reproduces the
-// age-ordered scan exactly. Structural stalls (busy functional unit,
-// blocked load) stay pending and retry next cycle; gated redundant load
-// copies are parked and re-queued by their copy 0's completion; stale
-// records (squashes, slot reuse) drop on the floor.
+// successful issues. It walks the ready set's words in ring order from
+// the RUU head — the head word from the head's bit upward, the words
+// after it, then the head word's low bits — which is seq order, the
+// order the age-ordered scan enforced. Within a word it visits the
+// union of the classes still being scanned, lowest bit first.
+//
+// Structural stalls (busy functional unit, blocked load) keep their
+// bit and retry next cycle. Once a stall leaves its pool without a free
+// unit, the pool's class is dropped for the rest of the cycle: every
+// later attempt on it would fail in pool.tryIssue, which returns before
+// the fault-injector roll and any LSQ or cache access, so skipping them
+// changes nothing but host time. Gated redundant load copies are parked
+// (bit cleared) and re-queued by their copy 0's completion; stale bits
+// (squashes, slot reuse) are cleared when visited.
 func (m *Machine) issueEvent() {
-	q := &m.ready
-	q.sortIn()
+	s := &m.ready
 	budget := m.cfg.IssueWidth
-	out := m.retry[:0] // next cycle's pending set, built in merge order
-	i, j := 0, 0
-	for i < len(q.list) || j < len(q.in) {
-		var rec readyRec
-		if j >= len(q.in) || (i < len(q.list) && q.list[i].seq <= q.in[j].seq) {
-			rec = q.list[i]
-			i++
-		} else {
-			rec = q.in[j]
-			j++
+	active := allClasses
+	nw := len(s.words) / classStride // words per class
+	hw, hb := m.ruu.head>>6, uint(m.ruu.head&63)
+	for n := 0; n <= nw; n++ {
+		w := hw + n
+		if w >= nw {
+			w -= nw
 		}
-		if budget == 0 {
-			// Width exhausted: keep the rest pending, order intact.
-			out = append(out, rec)
-			continue
+		span := ^uint64(0) // the bits of word w this pass covers
+		switch n {
+		case 0:
+			span <<= hb
+		case nw:
+			span = 1<<hb - 1
 		}
-		e := m.ruu.at(int(rec.idx))
-		if !e.Valid || e.Seq != rec.seq || e.Issued || !e.ready() {
-			continue // stale record (squash or slot reuse)
-		}
-		switch m.tryIssueEntry(int(rec.idx), e) {
-		case issueOK:
-			budget--
-		case issueStall:
-			out = append(out, rec)
-		case issueParked:
-			// Dropped; the gating completion re-queues it.
+		pending := s.union(w, active) & span
+		for pending != 0 {
+			idx := w<<6 | bits.TrailingZeros64(pending)
+			pending &= pending - 1
+			e := m.ruu.at(idx)
+			if !e.Valid || e.Issued || !e.ready() {
+				s.clearSlot(idx) // stale bit (squash or slot reuse)
+				continue
+			}
+			class := issueClass(e)
+			switch m.tryIssueEntry(idx, e) {
+			case issueOK:
+				s.remove(idx, class)
+				if budget--; budget == 0 {
+					return
+				}
+			case issueParked:
+				s.remove(idx, class)
+			case issueStall:
+				if p := m.fus.get(e.OI.Pool); p != nil && !p.anyFree(m.cycle) {
+					active &^= 1 << e.OI.Pool
+					pending &= s.union(w, active)
+				}
+			}
 		}
 	}
-	q.in = q.in[:0]
-	m.retry = q.list[:0] // old pending array becomes next cycle's scratch
-	q.list = out
 }

@@ -13,7 +13,7 @@ import "repro/internal/trace"
 // scan scheduler. It must be called before Run.
 func useNaiveScheduler(m *Machine) {
 	m.eventSched = false
-	m.ready.reset()
+	clear(m.ready.words)
 	m.cal.reset()
 	m.issueFn = m.issueScanRef
 	m.writebackFn = m.writebackScanRef

@@ -1,10 +1,12 @@
 package cpu
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/isa"
 	"repro/internal/prog"
+	"repro/internal/trace"
 )
 
 // ---------------------------------------------------------------------
@@ -49,35 +51,152 @@ func TestCalendarSeqSortMixedLatency(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// Ready queue.
+// Ready set.
 
-func TestReadyQueueMergeOrder(t *testing.T) {
-	var q readyQueue
-	q.list = append(q.list, readyRec{seq: 2}, readyRec{seq: 9})
-	q.push(readyRec{seq: 7})
-	q.push(readyRec{seq: 4}) // out of order arrival
-	q.sortIn()
-	if q.in[0].seq != 4 || q.in[1].seq != 7 {
-		t.Fatalf("sortIn gave %v", q.in)
+// issueHarness is a machine driven stage by stage: instructions are
+// pushed straight into the fetch queue, so a test controls exactly
+// which RUU slots they land in and which stages run.
+type issueHarness struct {
+	t   *testing.T
+	m   *Machine
+	buf *trace.Buffer
+	pc  uint64
+}
+
+func newIssueHarness(t *testing.T, cfg Config, head int) *issueHarness {
+	t.Helper()
+	buf := trace.NewBuffer(256)
+	cfg.Tracer = buf
+	b := prog.NewBuilder("harness")
+	b.Halt()
+	m, err := New(cfg, b.MustBuild())
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Merge as issueEvent does.
-	var merged []uint64
-	i, j := 0, 0
-	for i < len(q.list) || j < len(q.in) {
-		if j >= len(q.in) || (i < len(q.list) && q.list[i].seq <= q.in[j].seq) {
-			merged = append(merged, q.list[i].seq)
-			i++
-		} else {
-			merged = append(merged, q.in[j].seq)
-			j++
+	m.ruu.head, m.ruu.tail = head, head
+	m.cycle = 1
+	return &issueHarness{t: t, m: m, buf: buf, pc: prog.TextBase}
+}
+
+// dispatch feeds the instructions through the dispatch stage.
+func (h *issueHarness) dispatch(ins ...isa.Inst) {
+	for _, in := range ins {
+		h.m.fetchQ.push(fetchedInst{pc: h.pc, inst: in, oi: in.Info(), predNext: h.pc + isa.InstBytes})
+		h.pc += isa.InstBytes
+	}
+	for !h.m.fetchQ.empty() {
+		h.m.dispatch()
+	}
+}
+
+// issued returns the seqs of the issue events recorded at cycle c, in
+// issue order.
+func (h *issueHarness) issued(c uint64) []uint64 {
+	var seqs []uint64
+	for _, e := range h.buf.Events() {
+		if e.Stage == trace.StageIssue && e.Cycle == c {
+			seqs = append(seqs, e.Seq)
 		}
 	}
-	want := []uint64{2, 4, 7, 9}
-	for k := range want {
-		if merged[k] != want[k] {
-			t.Fatalf("merge order %v, want %v", merged, want)
+	return seqs
+}
+
+func (h *issueHarness) ready(idx, class int) bool {
+	return h.m.ready.words[(idx>>6)*classStride+class]&(1<<(idx&63)) != 0
+}
+
+// TestReadySetScanOrder pins the issue stage's walk over the ready set:
+// oldest first from a head in the second bitmap word, wrapping into the
+// first; a saturated pool's class dropped for the rest of the cycle
+// while the other classes carry on; and a gated redundant load copy
+// parked, then re-queued by its copy 0's completion.
+func TestReadySetScanOrder(t *testing.T) {
+	t.Run("wrap-and-saturate", func(t *testing.T) {
+		// RUU 128 is two words; the head at slot 124 is in word 1, so
+		// the ten entries occupy slots 124..127 and 0..5.
+		h := newIssueHarness(t, Baseline(), 124)
+		mul := func(rd uint8) isa.Inst { return isa.Inst{Op: isa.OpMul, Rd: rd} }
+		addi := func(rd uint8) isa.Inst { return isa.Inst{Op: isa.OpAddi, Rd: rd, Imm: 1} }
+		h.dispatch(
+			mul(1), addi(2), mul(3), mul(4), // slots 124..127, seqs 1..4
+			addi(5), mul(6), addi(7), addi(8), addi(9), // slots 0..4, seqs 5..9
+			isa.Inst{Op: isa.OpNop}, // slot 5, seq 10
+		)
+		// Stale bits on empty slots, as a squash leaves them: one in the
+		// IntMult class and one in the FPAdd class.
+		h.m.ready.add(40, int(isa.PoolIntMult))
+		h.m.ready.add(41, int(isa.PoolFPAdd))
+
+		h.m.issueEvent()
+		// Two IntMult units: seqs 1 and 3 issue and seq 4 stalls, which
+		// drops the class, so seq 6 is never attempted. Four IntALU
+		// units: seqs 2, 5, 7 and 8 issue, seq 9 stalls. The nop needs no
+		// unit.
+		want := []uint64{1, 2, 3, 5, 7, 8, 10}
+		if got := h.issued(1); !slices.Equal(got, want) {
+			t.Fatalf("issue order %v, want %v", got, want)
 		}
-	}
+		for _, c := range []struct {
+			idx, class int
+			set        bool
+		}{
+			{124, int(isa.PoolIntMult), false}, // issued
+			{127, int(isa.PoolIntMult), true},  // stalled
+			{1, int(isa.PoolIntMult), true},    // skipped
+			{4, int(isa.PoolIntALU), true},     // stalled
+			{5, int(isa.PoolNone), false},      // issued
+			{40, int(isa.PoolIntMult), true},   // class dropped before slot 40
+			{41, int(isa.PoolFPAdd), false},    // visited and cleared
+		} {
+			if got := h.ready(c.idx, c.class); got != c.set {
+				t.Errorf("slot %d class %d: bit %v, want %v", c.idx, c.class, got, c.set)
+			}
+		}
+
+		// Next cycle the units are free again; the stalled entries issue
+		// oldest first, the skipped one included.
+		h.m.cycle++
+		h.m.issueEvent()
+		if got, want := h.issued(2), []uint64{4, 6, 9}; !slices.Equal(got, want) {
+			t.Fatalf("cycle 2 issue order %v, want %v", got, want)
+		}
+	})
+
+	t.Run("gated-load-copy", func(t *testing.T) {
+		// R=2 on an RUU of 16, smaller than one word: the load's two
+		// copies sit at slots 15 and 0.
+		cfg := Baseline()
+		cfg.R, cfg.RUUSize, cfg.LSQSize = 2, 16, 8
+		cfg.Checker = RewindChecker{}
+		h := newIssueHarness(t, cfg, 15)
+		h.dispatch(isa.Inst{Op: isa.OpLd, Rd: 1, Imm: 0x1000})
+		c0 := h.m.ruu.at(15)
+
+		h.m.issueEvent()
+		if got := h.issued(1); !slices.Equal(got, []uint64{1}) {
+			t.Fatalf("cycle 1 issued %v, want [1] (copy 1 parked)", got)
+		}
+		if h.ready(0, classGated) {
+			t.Fatal("parked copy 1 kept its ready bit")
+		}
+		for h.m.cycle < c0.DoneAt {
+			h.m.cycle++
+			h.m.writebackEvent()
+			if h.m.cycle < c0.DoneAt {
+				h.m.issueEvent()
+			}
+		}
+		if !c0.Done || !h.ready(0, classGated) {
+			t.Fatalf("copy 0 done=%v, copy 1 re-queued=%v", c0.Done, h.ready(0, classGated))
+		}
+		h.m.issueEvent()
+		if got := h.issued(c0.DoneAt); !slices.Equal(got, []uint64{2}) {
+			t.Fatalf("cycle %d issued %v, want [2]", c0.DoneAt, got)
+		}
+		if h.ready(0, classGated) {
+			t.Fatal("issued copy 1 kept its ready bit")
+		}
+	})
 }
 
 // ---------------------------------------------------------------------

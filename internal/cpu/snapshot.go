@@ -64,9 +64,9 @@ func (c *Config) Fingerprint() uint64 {
 // the entire RUU and LSQ, clear the rename map, refetch from the
 // ECC-protected committed next-PC — except that nothing is counted as
 // a fault and no recovery penalty is charged, because no fault
-// occurred. After quiesce, the wait-lists, ready queue, retry list,
-// completion calendar and decode cache contain only records that the
-// scheduler's (idx, seq) guards make behaviourally invisible, so a
+// occurred. After quiesce, the wait-lists, ready set, completion
+// calendar and decode cache contain only records and bits that the
+// scheduler's stale-entry guards make behaviourally invisible, so a
 // snapshot need not encode them; the machine that continues past the
 // quiesce and a machine restored from the snapshot execute
 // byte-identically from here on.

@@ -4,9 +4,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/isa"
 	"repro/internal/prog"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // ---------------------------------------------------------------------
@@ -53,6 +55,62 @@ func TestRUURing(t *testing.T) {
 			t.Fatalf("visited %v, want %v", seqs, want)
 		}
 	}
+}
+
+// TestAllocHandsOutZeroSlots pins the invariant dispatch relies on
+// when it writes only an entry's non-zero fields: whenever dispatch
+// runs, every free RUU slot is Entry{} — after commits, branch squashes,
+// fault rewinds and a Reset of a machine stopped mid-run.
+func TestAllocHandsOutZeroSlots(t *testing.T) {
+	p, _ := workload.ByName("gcc")
+	program, err := p.Build(1 << 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Baseline()
+	cfg.R = 2
+	cfg.Checker = RewindChecker{}
+	newInjector := func() *fault.Injector {
+		return fault.New(fault.Config{Rate: 1e-2, Seed: 9, Targets: fault.AllTargets})
+	}
+	cfg.Injector = newInjector()
+	m, err := New(cfg, program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// run steps the machine the way RunContext does, checking the free
+	// slots [tail, head) just before each dispatch.
+	run := func(cycles int) {
+		t.Helper()
+		for i := 0; i < cycles && !m.halted; i++ {
+			m.cycle++
+			if err := m.commit(); err != nil {
+				t.Fatal(err)
+			}
+			m.writebackFn()
+			m.issueFn()
+			for k := m.ruu.count; k < m.ruu.size(); k++ {
+				if idx := m.ruu.wrap(m.ruu.head + k); *m.ruu.at(idx) != (Entry{}) {
+					t.Fatalf("cycle %d: free slot %d is %+v", m.cycle, idx, *m.ruu.at(idx))
+				}
+			}
+			m.dispatch()
+			m.fetch()
+		}
+	}
+	run(20_000)
+	if st := m.Stats(); st.Committed == 0 || st.BranchRewinds == 0 || st.FaultRewinds == 0 {
+		t.Fatalf("run too tame: committed=%d branch rewinds=%d fault rewinds=%d",
+			st.Committed, st.BranchRewinds, st.FaultRewinds)
+	}
+	if m.ruu.count == 0 {
+		t.Fatal("want live entries at the Reset")
+	}
+	cfg.Injector = newInjector()
+	if err := m.Reset(cfg, program); err != nil {
+		t.Fatal(err)
+	}
+	run(2_000)
 }
 
 func TestRUUTruncateAfter(t *testing.T) {
@@ -250,6 +308,9 @@ func TestFUPipelined(t *testing.T) {
 	if p.tryIssue(10, 1, true, -1) >= 0 {
 		t.Fatal("third same-cycle issue accepted on 2 units")
 	}
+	if p.anyFree(10) || !p.anyFree(11) {
+		t.Fatal("anyFree disagrees with the saturated cycle")
+	}
 	// Next cycle both are free again (pipelined).
 	if p.tryIssue(11, 1, true, -1) < 0 {
 		t.Fatal("pipelined unit not free next cycle")
@@ -264,6 +325,9 @@ func TestFUUnpipelined(t *testing.T) {
 	// Busy for the full latency.
 	if p.tryIssue(11, 12, false, -1) >= 0 || p.tryIssue(21, 12, false, -1) >= 0 {
 		t.Fatal("unpipelined unit accepted a second op while busy")
+	}
+	if p.anyFree(21) || !p.anyFree(22) {
+		t.Fatal("anyFree disagrees with the unit's busy window")
 	}
 	if p.tryIssue(22, 12, false, -1) < 0 {
 		t.Fatal("unit not free after latency elapsed")

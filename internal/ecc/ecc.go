@@ -63,27 +63,35 @@ var dataPos = func() [64]uint {
 	return pos
 }()
 
-// checkPos[j] is the codeword position of check bit j.
-var checkPos = [7]uint{1, 2, 4, 8, 16, 32, 64}
+// synMask[j] is the set of data bits whose codeword position has bit j
+// set.
+var synMask = func() [7]uint64 {
+	var m [7]uint64
+	for i, p := range dataPos {
+		for j := range m {
+			if p&(1<<j) != 0 {
+				m[j] |= 1 << i
+			}
+		}
+	}
+	return m
+}()
 
-// syndrome returns the XOR of the positions of all set data bits.
+// syndrome returns the XOR of the positions of all set data bits. Bit j
+// of that XOR is the parity of the set data bits whose position has bit
+// j, so it takes seven masked popcounts whatever the data.
 func syndrome(data uint64) uint {
 	var s uint
-	for d := data; d != 0; d &= d - 1 {
-		s ^= dataPos[bits.TrailingZeros64(d)]
+	for j, m := range synMask {
+		s |= uint(bits.OnesCount64(data&m)&1) << j
 	}
 	return s
 }
 
-// Encode computes the check bits for data.
+// Encode computes the check bits for data. Check bit j sits at codeword
+// position 1<<j (j = 0..6), so it is bit j of the syndrome.
 func Encode(data uint64) Word {
-	s := syndrome(data)
-	var check uint8
-	for j, p := range checkPos {
-		if s&p != 0 {
-			check |= 1 << uint(j)
-		}
-	}
+	check := uint8(syndrome(data)) & 0x7f
 	// Overall parity over data and the 7 Hamming check bits.
 	parity := uint8(bits.OnesCount64(data)+bits.OnesCount8(check)) & 1
 	check |= parity << 7
@@ -94,14 +102,7 @@ func Encode(data uint64) Word {
 // the error status. On Uncorrectable the returned data is w.Data
 // unchanged.
 func Decode(w Word) (uint64, Status) {
-	s := syndrome(w.Data)
-	var storedCheck uint
-	for j, p := range checkPos {
-		if w.Check&(1<<uint(j)) != 0 {
-			storedCheck ^= p
-		}
-	}
-	synd := s ^ storedCheck
+	synd := syndrome(w.Data) ^ uint(w.Check&0x7f)
 	parityOK := uint8(bits.OnesCount64(w.Data)+bits.OnesCount8(w.Check))&1 == 0
 
 	switch {
@@ -118,11 +119,9 @@ func Decode(w Word) (uint64, Status) {
 	if synd > 72 {
 		return w.Data, Uncorrectable
 	}
-	for _, p := range checkPos {
-		if synd == p {
-			// A check bit flipped; data is intact.
-			return w.Data, Corrected
-		}
+	if synd&(synd-1) == 0 {
+		// A check bit flipped; data is intact.
+		return w.Data, Corrected
 	}
 	for i, p := range dataPos {
 		if synd == p {

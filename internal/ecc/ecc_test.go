@@ -1,6 +1,7 @@
 package ecc
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -125,6 +126,101 @@ func TestStatusString(t *testing.T) {
 	for st, want := range map[Status]string{OK: "ok", Corrected: "corrected", Uncorrectable: "uncorrectable", Status(9): "unknown"} {
 		if st.String() != want {
 			t.Errorf("Status(%d).String() = %q, want %q", st, st.String(), want)
+		}
+	}
+}
+
+// syndromeRef is the bit-by-bit syndrome: the XOR of the codeword
+// positions of the set data bits.
+func syndromeRef(data uint64) uint {
+	var s uint
+	for d := data; d != 0; d &= d - 1 {
+		s ^= dataPos[bits.TrailingZeros64(d)]
+	}
+	return s
+}
+
+// checkPosRef[j] is the codeword position of check bit j.
+var checkPosRef = [7]uint{1, 2, 4, 8, 16, 32, 64}
+
+// encodeRef and decodeRef are Encode and Decode written out position by
+// position on syndromeRef.
+func encodeRef(data uint64) Word {
+	s := syndromeRef(data)
+	var check uint8
+	for j, p := range checkPosRef {
+		if s&p != 0 {
+			check |= 1 << uint(j)
+		}
+	}
+	parity := uint8(bits.OnesCount64(data)+bits.OnesCount8(check)) & 1
+	return Word{Data: data, Check: check | parity<<7}
+}
+
+func decodeRef(w Word) (uint64, Status) {
+	synd := syndromeRef(w.Data)
+	for j, p := range checkPosRef {
+		if w.Check&(1<<uint(j)) != 0 {
+			synd ^= p
+		}
+	}
+	parityOK := uint8(bits.OnesCount64(w.Data)+bits.OnesCount8(w.Check))&1 == 0
+	switch {
+	case synd == 0 && parityOK:
+		return w.Data, OK
+	case synd == 0:
+		return w.Data, Corrected
+	case parityOK:
+		return w.Data, Uncorrectable
+	}
+	for _, p := range checkPosRef {
+		if synd == p {
+			return w.Data, Corrected
+		}
+	}
+	for i, p := range dataPos {
+		if synd == p {
+			return w.Data ^ (1 << uint(i)), Corrected
+		}
+	}
+	return w.Data, Uncorrectable
+}
+
+// TestMatchesReference checks the masked-popcount Encode and Decode
+// against the position-by-position reference on random words and on
+// every single-bit and double-bit flip of their 72-bit codewords.
+func TestMatchesReference(t *testing.T) {
+	flip := func(w Word, p int) Word {
+		if p < 64 {
+			return FlipDataBit(w, uint(p))
+		}
+		return FlipCheckBit(w, uint(p-64))
+	}
+	check := func(w Word) {
+		t.Helper()
+		gd, gs := Decode(w)
+		wd, ws := decodeRef(w)
+		if gd != wd || gs != ws {
+			t.Fatalf("Decode(%+v) = %#x, %v; reference %#x, %v", w, gd, gs, wd, ws)
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	words := []uint64{0, ^uint64(0), 1, 1 << 63}
+	for len(words) < 40 {
+		words = append(words, rng.Uint64())
+	}
+	for _, data := range words {
+		w := Encode(data)
+		if ref := encodeRef(data); w != ref {
+			t.Fatalf("Encode(%#x) = %+v, reference %+v", data, w, ref)
+		}
+		check(w)
+		for i := 0; i < 72; i++ {
+			wi := flip(w, i)
+			check(wi)
+			for j := i + 1; j < 72; j++ {
+				check(flip(wi, j))
+			}
 		}
 	}
 }
