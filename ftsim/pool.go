@@ -46,12 +46,11 @@ func (p *MachinePool) put(m *cpu.Machine) {
 // reset fully sanitises in-flight state. The returned Stats is a
 // snapshot owned by the caller, never aliased to pooled machine state.
 func (m *Machine) RunPooled(ctx context.Context, pool *MachinePool, p *Program) (*Stats, error) {
-	recycled := pool.get()
-	s, cfg, err := m.newSession(recycled)
+	s, cfg, err := m.newSession()
 	if err != nil {
-		pool.put(recycled)
 		return nil, err
 	}
+	recycled := pool.get()
 	cm := recycled
 	if cm == nil {
 		cm = new(cpu.Machine) // Reset of the zero Machine is cpu.New

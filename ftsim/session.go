@@ -85,11 +85,8 @@ func (c Config) clone() Config {
 // newSession lowers the machine description to the cpu layer's
 // configuration (the only place ftsim does so) and creates the Session
 // that will run it, installing the session's observer, tracer and
-// strict-oracle hooks. reuse, when non-nil, is the machine the
-// configuration is about to be installed on: its fault injector's RNG
-// storage is reseeded rather than reallocated (see fault.Renew; the
-// reseeded stream is identical to a fresh one).
-func (m *Machine) newSession(reuse *cpu.Machine) (*Session, cpu.Config, error) {
+// strict-oracle hooks.
+func (m *Machine) newSession() (*Session, cpu.Config, error) {
 	c, p := m.cfg, m.cfg.Pipeline
 	cfg := cpu.Config{
 		Name:            c.Name,
@@ -116,38 +113,22 @@ func (m *Machine) newSession(reuse *cpu.Machine) (*Session, cpu.Config, error) {
 		Bpred:             c.BranchPred.toBpred(),
 		R:                 c.R,
 		CoSchedule:        c.CoSchedule,
+		Majority:          c.Majority,
+		MajorityThreshold: c.MajorityThreshold,
+		Fault:             fault.Config{Rate: c.Fault.Rate, Seed: c.Fault.Seed},
 		TransformOperands: c.TransformOperands,
 		Oracle:            c.Oracle,
 		StrictOracle:      m.strict,
 		MaxInsts:          c.MaxInsts,
 		MaxCycles:         c.MaxCycles,
 	}
-	if c.R > 1 {
-		// Section 3.2 requires the ROB size to be a multiple of R so the
-		// copy-k-at-index-≡k alignment holds; round down (e.g. 128 -> 126
-		// for R=3), mirroring how a real design would provision the ROB.
-		cfg.RUUSize -= cfg.RUUSize % c.R
-		if c.Majority {
-			// Normalized has filled in a simple-majority threshold.
-			cfg.Checker = &cpu.MajorityChecker{R: c.R, Threshold: c.MajorityThreshold}
-		} else {
-			cfg.Checker = cpu.RewindChecker{}
-		}
-	}
-
-	fc := fault.Config{Rate: c.Fault.Rate, Seed: c.Fault.Seed}
 	for _, t := range c.Fault.Targets {
 		ft, err := t.target()
 		if err != nil {
 			return nil, cpu.Config{}, &ConfigError{Field: "fault.targets", Reason: err.Error()}
 		}
-		fc.Targets = append(fc.Targets, ft)
+		cfg.Fault.Targets = append(cfg.Fault.Targets, ft)
 	}
-	var prev *fault.Injector
-	if reuse != nil {
-		prev = reuse.Injector()
-	}
-	cfg.Injector = fault.Renew(prev, fc)
 	if c.Persistent != nil {
 		pool, err := poolByName(c.Persistent.Pool)
 		if err != nil {
@@ -173,7 +154,7 @@ func (m *Machine) newSession(reuse *cpu.Machine) (*Session, cpu.Config, error) {
 // the config, and the session is ready to Run. Sessions are
 // independent; any number may run concurrently.
 func (m *Machine) Load(p *Program) (*Session, error) {
-	s, cfg, err := m.newSession(nil)
+	s, cfg, err := m.newSession()
 	if err != nil {
 		return nil, err
 	}

@@ -46,7 +46,7 @@ func (s *Session) Snapshot() []byte { return s.cm.Snapshot() }
 // the remainder of the workload, streaming observer samples relative
 // to the snapshot point.
 func (m *Machine) Restore(data []byte) (*Session, error) {
-	s, cfg, err := m.newSession(nil)
+	s, cfg, err := m.newSession()
 	if err != nil {
 		return nil, err
 	}

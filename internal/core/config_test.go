@@ -3,13 +3,13 @@
 // injector, run as the Section 5 machine models — fault-free agreement,
 // detection and recovery under injection, the workload oracle sweep,
 // pooled reset and snapshot restore. The package has no non-test code.
-// Its machines are built below the public API so the tests can reach
-// cpu.Machine state (registers, memory, in-place reset); ftsim lowers
-// its Config to the same cpu.Config, which TestModelsMatchFacade pins.
+// Its machines are cpu.Config values built with cpu.New, below the
+// public API, so the tests can reach cpu.Machine state (registers,
+// memory, in-place reset and restore); TestModelsMatchFacade pins them
+// to ftsim's models.
 package core
 
 import (
-	"cmp"
 	"context"
 	"reflect"
 	"testing"
@@ -21,108 +21,45 @@ import (
 	"repro/internal/workload"
 )
 
-// Config is a test machine: the cpu configuration plus the two parts
-// the cpu layer takes as built objects — the commit checker, chosen
-// from R and Majority, and the fault injector, built from Fault for
-// every machine so no two runs share RNG state.
-type Config struct {
-	cpu.Config
-	// Majority selects majority election over rewind for R >= 3.
-	Majority bool
-	// MajorityThreshold is the election threshold; zero means a simple
-	// majority, R/2+1.
-	MajorityThreshold int
-	Fault             fault.Config
-}
-
 // SS1 is the unprotected Table 1 baseline.
-func SS1() Config { return Config{Config: cpu.Baseline()} }
+func SS1() cpu.Config { return cpu.Baseline() }
 
 // SS2 is the 2-way redundant design with rewind recovery.
-func SS2() Config {
+func SS2() cpu.Config {
 	c := SS1()
 	c.Name, c.R = "SS-2", 2
 	return c
 }
 
-// SS3 is the 3-way redundant design with majority election.
-func SS3() Config {
+// SS3 is the 3-way redundant design with simple-majority election.
+func SS3() cpu.Config {
 	c := SS1()
-	c.Name, c.R, c.Majority = "SS-3", 3, true
+	c.Name, c.R, c.Majority, c.MajorityThreshold = "SS-3", 3, true, 2
 	return c
 }
 
 // SS3Rewind is the 3-way design that rewinds on any mismatch.
-func SS3Rewind() Config {
+func SS3Rewind() cpu.Config {
 	c := SS1()
 	c.Name, c.R = "SS-3-rewind", 3
 	return c
 }
 
 // Static2 is one pipeline of the statically partitioned lock-step pair.
-func Static2() Config { return Config{Config: cpu.Halved()} }
-
-// assemble lowers c as ftsim does: the RUU rounded down to a multiple
-// of R, the checker for R and Majority, and an injector that reuses
-// prev's RNG storage when non-nil.
-func (c Config) assemble(prev *fault.Injector) cpu.Config {
-	cfg := c.Config
-	cfg.Checker = nil
-	if c.R > 1 {
-		cfg.RUUSize -= cfg.RUUSize % c.R
-		if c.Majority {
-			cfg.Checker = &cpu.MajorityChecker{R: c.R, Threshold: cmp.Or(c.MajorityThreshold, c.R/2+1)}
-		} else {
-			cfg.Checker = cpu.RewindChecker{}
-		}
-	}
-	cfg.Injector = fault.Renew(prev, c.Fault)
-	return cfg
-}
-
-// Build returns a fresh machine loaded with p.
-func (c Config) Build(p *prog.Program) (*cpu.Machine, error) {
-	return cpu.New(c.assemble(nil), p)
-}
-
-// Rebuild resets m in place for a run of p, as a machine pool does; a
-// nil m builds fresh.
-func (c Config) Rebuild(m *cpu.Machine, p *prog.Program) (*cpu.Machine, error) {
-	if m == nil {
-		return c.Build(p)
-	}
-	if err := m.Reset(c.assemble(m.Injector()), p); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// Restore resumes a snapshot on m, or on a fresh machine when m is nil.
-func (c Config) Restore(m *cpu.Machine, data []byte) (*cpu.Machine, error) {
-	var prev *fault.Injector
-	if m == nil {
-		m = new(cpu.Machine)
-	} else {
-		prev = m.Injector()
-	}
-	if err := m.Restore(c.assemble(prev), data); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
+func Static2() cpu.Config { return cpu.Halved() }
 
 // Run builds c's machine for p and runs it to completion.
-func Run(p *prog.Program, c Config) (*cpu.Stats, error) {
-	m, err := c.Build(p)
+func Run(p *prog.Program, c cpu.Config) (*cpu.Stats, error) {
+	m, err := cpu.New(c, p)
 	if err != nil {
 		return nil, err
 	}
 	return m.RunContext(context.Background())
 }
 
-// TestModelsMatchFacade pins the test machines to ftsim's: each model,
-// with and without fault injection, produces Stats deeply equal to the
-// same run through the public API.
+// TestModelsMatchFacade pins the test presets to ftsim's models: each
+// one, with and without fault injection, produces Stats deeply equal to
+// the same run through the public API.
 func TestModelsMatchFacade(t *testing.T) {
 	wl, _ := workload.ByName("gcc")
 	program, err := wl.Build(1 << 32)
@@ -134,7 +71,7 @@ func TestModelsMatchFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		cfg   Config
+		cfg   cpu.Config
 		model ftsim.Model
 	}{
 		{SS1(), ftsim.ModelSS1},

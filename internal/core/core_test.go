@@ -54,7 +54,7 @@ func reference(t *testing.T, p *prog.Program) []uint64 {
 	return m.Output
 }
 
-func runCfg(t *testing.T, p *prog.Program, c Config) *cpu.Stats {
+func runCfg(t *testing.T, p *prog.Program, c cpu.Config) *cpu.Stats {
 	t.Helper()
 	c.Oracle = true
 	if c.MaxCycles == 0 {
@@ -72,7 +72,7 @@ func TestFaultFreeModesAgree(t *testing.T) {
 	want := reference(t, p)
 	for _, tc := range []struct {
 		name string
-		cfg  Config
+		cfg  cpu.Config
 	}{
 		{"SS-1", SS1()},
 		{"SS-2", SS2()},

@@ -19,9 +19,9 @@ import (
 // slab-reuse and the slab-rebuild paths of Machine.Reset).
 func resetCases() []struct {
 	name string
-	cfg  Config
+	cfg  cpu.Config
 } {
-	withFault := func(c Config, rate float64, seed int64) Config {
+	withFault := func(c cpu.Config, rate float64, seed int64) cpu.Config {
 		c.Fault = fault.Config{Rate: rate, Seed: seed, Targets: fault.AllTargets}
 		return c
 	}
@@ -34,7 +34,7 @@ func resetCases() []struct {
 	penalty.RecoveryPenalty = 500
 	return []struct {
 		name string
-		cfg  Config
+		cfg  cpu.Config
 	}{
 		{"SS1", SS1()},
 		{"SS2", SS2()},
@@ -48,8 +48,8 @@ func resetCases() []struct {
 }
 
 // TestRebuildMatchesFresh is the tentpole referee: a machine recycled
-// through Config.Rebuild must produce Stats deeply equal to a fresh
-// Config.Build, no matter what the machine ran before — a different
+// through Machine.Reset must produce Stats deeply equal to a fresh
+// cpu.New, no matter what the machine ran before — a different
 // model, a different program, a different window geometry, or a run
 // that was cancelled mid-flight and abandoned with in-flight state.
 func TestRebuildMatchesFresh(t *testing.T) {
@@ -65,7 +65,7 @@ func TestRebuildMatchesFresh(t *testing.T) {
 	}
 
 	const insts = 8_000
-	limit := func(c Config) Config {
+	limit := func(c cpu.Config) cpu.Config {
 		c.MaxInsts = insts
 		c.MaxCycles = insts * 100
 		return c
@@ -78,7 +78,7 @@ func TestRebuildMatchesFresh(t *testing.T) {
 	dirty = append(dirty,
 		func(t *testing.T) *cpu.Machine {
 			// Completed run of a different model on a different program.
-			m, err := limit(SS3()).Build(progB)
+			m, err := cpu.New(limit(SS3()), progB)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +90,7 @@ func TestRebuildMatchesFresh(t *testing.T) {
 		func(t *testing.T) *cpu.Machine {
 			// Cancelled mid-run: RUU/LSQ, waitlists, calendar and fetch
 			// queue are all abandoned with live entries.
-			m, err := limit(SS2()).Build(progA)
+			m, err := cpu.New(limit(SS2()), progA)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,7 +107,7 @@ func TestRebuildMatchesFresh(t *testing.T) {
 			c.RUUSize = 256
 			c.LSQSize = 128
 			c.Fault = fault.Config{Rate: 1e-3, Seed: 99, Targets: fault.AllTargets}
-			m, err := c.Build(progB)
+			m, err := cpu.New(c, progB)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +120,7 @@ func TestRebuildMatchesFresh(t *testing.T) {
 	for _, tc := range cases {
 		cfg := limit(tc.cfg)
 		t.Run(tc.name, func(t *testing.T) {
-			freshM, err := cfg.Build(progA)
+			freshM, err := cpu.New(cfg, progA)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,8 +130,8 @@ func TestRebuildMatchesFresh(t *testing.T) {
 			}
 			for i, mk := range dirty {
 				t.Run(fmt.Sprintf("dirty%d", i), func(t *testing.T) {
-					m, err := cfg.Rebuild(mk(t), progA)
-					if err != nil {
+					m := mk(t)
+					if err := m.Reset(cfg, progA); err != nil {
 						t.Fatal(err)
 					}
 					got, err := m.RunContext(context.Background())
@@ -157,7 +157,7 @@ func TestRebuildTwiceMatchesFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	const insts = 6_000
-	var m *cpu.Machine
+	m := new(cpu.Machine)
 	for _, tc := range resetCases() {
 		cfg := tc.cfg
 		cfg.MaxInsts = insts
@@ -166,9 +166,8 @@ func TestRebuildTwiceMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: fresh: %v", tc.name, err)
 		}
-		m, err = cfg.Rebuild(m, program)
-		if err != nil {
-			t.Fatalf("%s: rebuild: %v", tc.name, err)
+		if err := m.Reset(cfg, program); err != nil {
+			t.Fatalf("%s: reset: %v", tc.name, err)
 		}
 		got, err := m.RunContext(context.Background())
 		if err != nil {
@@ -180,7 +179,7 @@ func TestRebuildTwiceMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestRebuildInvalidConfigLeavesMachineUsable: Rebuild with a broken
+// TestRebuildInvalidConfigLeavesMachineUsable: Reset with a broken
 // configuration must fail without corrupting the machine, which stays
 // recyclable (this is what lets the pool keep a machine after a
 // rejected checkout).
@@ -198,33 +197,32 @@ func TestRebuildInvalidConfigLeavesMachineUsable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m, err := cfg.Build(program)
+	m, err := cpu.New(cfg, program)
 	if err != nil {
 		t.Fatal(err)
 	}
 	broken := cfg
 	broken.RUUSize = 0
-	if _, err := broken.Rebuild(m, program); err == nil {
-		t.Fatal("Rebuild accepted an invalid config")
+	if err := m.Reset(broken, program); err == nil {
+		t.Fatal("Reset accepted an invalid config")
 	}
-	m2, err := cfg.Rebuild(m, program)
-	if err != nil {
+	if err := m.Reset(cfg, program); err != nil {
 		t.Fatal(err)
 	}
-	got, err := m2.RunContext(context.Background())
+	got, err := m.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Error("machine unusable after rejected Rebuild")
+		t.Error("machine unusable after rejected Reset")
 	}
 }
 
 // TestSteadyStateAllocBudget pins the tentpole's allocation win: once a
 // machine is warm, a full rebuild-and-run cycle of the pipeline hot
-// loop must stay under a hard allocation ceiling. The seed code spent
-// ~17k allocations per such run; the pooled steady state spends a few
-// dozen (checker/injector assembly and scheduler-slab growth tails).
+// loop must stay under a hard allocation ceiling. Building a machine
+// per run spends ~17k allocations; a warm reset spends none, because
+// the machine keeps its slabs, injector and majority-checker scratch.
 // The ceiling has headroom over the measured value but fails loudly if
 // per-trial allocation regresses toward the old per-run construction
 // cost.
@@ -240,16 +238,16 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 	const insts = 5_000
 	for _, tc := range []struct {
 		name    string
-		cfg     func() Config
+		cfg     func() cpu.Config
 		ceiling float64
 	}{
 		{"SS1", SS1, 100},
-		{"SS2/fault", func() Config {
+		{"SS2/fault", func() cpu.Config {
 			c := SS2()
 			c.Fault = fault.Config{Rate: 1e-4, Seed: 3, Targets: fault.AllTargets}
 			return c
 		}, 100},
-		{"SS3/fault", func() Config {
+		{"SS3/fault", func() cpu.Config {
 			c := SS3() // majority election: exercises the checker scratch
 			c.Fault = fault.Config{Rate: 1e-4, Seed: 5, Targets: fault.AllTargets}
 			return c
@@ -259,14 +257,12 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 			cfg := tc.cfg()
 			cfg.MaxInsts = insts
 			cfg.MaxCycles = insts * 100
-			m, err := cfg.Build(program)
+			m, err := cpu.New(cfg, program)
 			if err != nil {
 				t.Fatal(err)
 			}
 			run := func() {
-				var err error
-				m, err = cfg.Rebuild(m, program)
-				if err != nil {
+				if err := m.Reset(cfg, program); err != nil {
 					t.Fatal(err)
 				}
 				if _, err := m.RunContext(context.Background()); err != nil {

@@ -34,7 +34,7 @@ var interruptCtx context.Context
 // observation at or after the given cycle. The cancellation lands on
 // the run loop's next poll, so the interrupted machine state is a
 // deterministic function of (config, program, cycle).
-func withInterrupt(cfg Config, atCycle uint64) Config {
+func withInterrupt(cfg cpu.Config, atCycle uint64) cpu.Config {
 	ctx, cancel := context.WithCancel(context.Background())
 	interruptCtx = ctx
 	cfg.ObserveEvery = 256
@@ -84,15 +84,15 @@ func TestSnapshotRestoreContinuesIdentically(t *testing.T) {
 			cfg.MaxInsts = insts
 			cfg.MaxCycles = insts * 100
 
-			donor, err := withInterrupt(cfg, 2_000).Build(program)
+			donor, err := cpu.New(withInterrupt(cfg, 2_000), program)
 			if err != nil {
 				t.Fatal(err)
 			}
 			interruptRun(t, donor)
 			blob := donor.Snapshot()
 
-			restored, err := cfg.Restore(nil, blob)
-			if err != nil {
+			restored := new(cpu.Machine)
+			if err := restored.Restore(cfg, blob); err != nil {
 				t.Fatal(err)
 			}
 
@@ -121,7 +121,7 @@ func TestSnapshotRestoreContinuesIdentically(t *testing.T) {
 func TestSnapshotTable2Sweep(t *testing.T) {
 	models := []struct {
 		r   int
-		cfg func() Config
+		cfg func() cpu.Config
 	}{
 		{1, SS1},
 		{2, SS2},
@@ -145,13 +145,13 @@ func TestSnapshotTable2Sweep(t *testing.T) {
 					cfg.Fault = fault.Config{Rate: 5e-4, Seed: int64(31 + m.r), Targets: fault.AllTargets}
 				}
 
-				donor, err := withInterrupt(cfg, 1_000).Build(program)
+				donor, err := cpu.New(withInterrupt(cfg, 1_000), program)
 				if err != nil {
 					t.Fatal(err)
 				}
 				interruptRun(t, donor)
-				restored, err := cfg.Restore(nil, donor.Snapshot())
-				if err != nil {
+				restored := new(cpu.Machine)
+				if err := restored.Restore(cfg, donor.Snapshot()); err != nil {
 					t.Fatal(err)
 				}
 				donorStats, err := donor.RunContext(context.Background())
@@ -172,7 +172,7 @@ func TestSnapshotTable2Sweep(t *testing.T) {
 				// (it squashes in-flight work, like the paper's recovery
 				// does), so cycle counts legitimately differ from an
 				// uninterrupted run — but the committed results must not.
-				uncut, err := cfg.Build(program)
+				uncut, err := cpu.New(cfg, program)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -208,12 +208,12 @@ func TestSnapshotOfFreshMachine(t *testing.T) {
 	cfg.MaxInsts = 4_000
 	cfg.MaxCycles = 400_000
 
-	donor, err := cfg.Build(program)
+	donor, err := cpu.New(cfg, program)
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := cfg.Restore(nil, donor.Snapshot())
-	if err != nil {
+	restored := new(cpu.Machine)
+	if err := restored.Restore(cfg, donor.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	want, err := donor.RunContext(context.Background())
@@ -231,7 +231,7 @@ func TestSnapshotOfFreshMachine(t *testing.T) {
 
 // TestRestoreIntoRecycledMachine: Restore must fully overwrite a
 // machine that previously ran something else entirely, exactly like
-// Rebuild does.
+// Reset does.
 func TestRestoreIntoRecycledMachine(t *testing.T) {
 	gcc, _ := workload.ByName("gcc")
 	swim, _ := workload.ByName("swim")
@@ -248,7 +248,7 @@ func TestRestoreIntoRecycledMachine(t *testing.T) {
 	cfg.MaxInsts = 6_000
 	cfg.MaxCycles = 600_000
 
-	donor, err := withInterrupt(cfg, 1_500).Build(progA)
+	donor, err := cpu.New(withInterrupt(cfg, 1_500), progA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestRestoreIntoRecycledMachine(t *testing.T) {
 	other := SS3()
 	other.MaxInsts = 3_000
 	other.MaxCycles = 300_000
-	victim, err := other.Build(progB)
+	victim, err := cpu.New(other, progB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,15 +268,14 @@ func TestRestoreIntoRecycledMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	restored, err := cfg.Restore(victim, blob)
-	if err != nil {
+	if err := victim.Restore(cfg, blob); err != nil {
 		t.Fatal(err)
 	}
 	donorStats, err := donor.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	restoredStats, err := restored.RunContext(context.Background())
+	restoredStats, err := victim.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +297,7 @@ func TestRestoreUnderLargerBudget(t *testing.T) {
 	small := SS2()
 	small.MaxInsts = 2_000
 	small.MaxCycles = 200_000
-	donor, err := small.Build(program)
+	donor, err := cpu.New(small, program)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,8 +309,8 @@ func TestRestoreUnderLargerBudget(t *testing.T) {
 	big := small
 	big.MaxInsts = 4_000
 	big.MaxCycles = 400_000
-	resumed, err := big.Restore(nil, blob)
-	if err != nil {
+	resumed := new(cpu.Machine)
+	if err := resumed.Restore(big, blob); err != nil {
 		t.Fatal(err)
 	}
 	st, err := resumed.RunContext(context.Background())
@@ -324,24 +323,23 @@ func TestRestoreUnderLargerBudget(t *testing.T) {
 
 	// Reference: one uninterrupted-except-snapshot run at the large
 	// budget whose snapshot fires at the same committed count.
-	ref, err := big.Build(program)
+	ref, err := cpu.New(big, program)
 	if err != nil {
 		t.Fatal(err)
 	}
 	refHalf := big
 	refHalf.MaxInsts = 2_000
-	refM, err := refHalf.Build(program)
+	refM, err := cpu.New(refHalf, program)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := refM.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	refResumed, err := big.Restore(ref, refM.Snapshot())
-	if err != nil {
+	if err := ref.Restore(big, refM.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	want, err := refResumed.RunContext(context.Background())
+	want, err := ref.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +360,7 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	cfg := SS2()
 	cfg.MaxInsts = 1_000
 	cfg.MaxCycles = 100_000
-	donor, err := cfg.Build(program)
+	donor, err := cpu.New(cfg, program)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,23 +371,23 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 
 	for _, alt := range []struct {
 		name string
-		cfg  Config
+		cfg  cpu.Config
 	}{
-		{"different model", func() Config { c := SS3(); c.MaxInsts = 1_000; return c }()},
-		{"different geometry", func() Config {
+		{"different model", func() cpu.Config { c := SS3(); c.MaxInsts = 1_000; return c }()},
+		{"different geometry", func() cpu.Config {
 			c := SS2()
 			c.RUUSize = 256
 			c.MaxInsts = 1_000
 			return c
 		}()},
-		{"different fault seed", func() Config {
+		{"different fault seed", func() cpu.Config {
 			c := SS2()
 			c.Fault = fault.Config{Rate: 1e-4, Seed: 3}
 			c.MaxInsts = 1_000
 			return c
 		}()},
 	} {
-		if _, err := alt.cfg.Restore(nil, blob); !errors.Is(err, cpu.ErrSnapshotMismatch) {
+		if err := new(cpu.Machine).Restore(alt.cfg, blob); !errors.Is(err, cpu.ErrSnapshotMismatch) {
 			t.Errorf("%s: Restore returned %v, want ErrSnapshotMismatch", alt.name, err)
 		}
 	}
@@ -397,7 +395,7 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	// Same fingerprint, different run limits: accepted.
 	bigger := cfg
 	bigger.MaxInsts = 2_000
-	if _, err := bigger.Restore(nil, blob); err != nil {
+	if err := new(cpu.Machine).Restore(bigger, blob); err != nil {
 		t.Errorf("run-limit change rejected: %v", err)
 	}
 }
@@ -415,7 +413,7 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	cfg.Fault = fault.Config{Rate: 1e-3, Seed: 2, Targets: fault.AllTargets}
 	cfg.MaxInsts = 1_000
 	cfg.MaxCycles = 100_000
-	donor, err := cfg.Build(program)
+	donor, err := cpu.New(cfg, program)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,20 +423,20 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	blob := donor.Snapshot()
 
 	// Restoring the pristine blob works.
-	if _, err := cfg.Restore(nil, blob); err != nil {
+	if err := new(cpu.Machine).Restore(cfg, blob); err != nil {
 		t.Fatalf("pristine snapshot rejected: %v", err)
 	}
 	// Bit flips anywhere are caught by the checksum.
 	for _, pos := range []int{0, 7, len(blob) / 2, len(blob) - 1} {
 		bad := append([]byte(nil), blob...)
 		bad[pos] ^= 0x40
-		if _, err := cfg.Restore(nil, bad); !errors.Is(err, snap.ErrCorrupt) {
+		if err := new(cpu.Machine).Restore(cfg, bad); !errors.Is(err, snap.ErrCorrupt) {
 			t.Errorf("bit flip at %d: Restore returned %v, want ErrCorrupt", pos, err)
 		}
 	}
 	// Truncations at a sample of lengths.
 	for n := 0; n < len(blob); n += 97 {
-		if _, err := cfg.Restore(nil, blob[:n]); err == nil {
+		if err := new(cpu.Machine).Restore(cfg, blob[:n]); err == nil {
 			t.Errorf("truncation to %d bytes accepted", n)
 		}
 	}

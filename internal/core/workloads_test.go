@@ -102,7 +102,9 @@ func TestStallAccounting(t *testing.T) {
 		t.Errorf("2-entry LSQ reported no LSQ-full stalls: %s", st2.Summary())
 	}
 	// Starved configurations are slower.
-	full, err := Run(program, func() Config { c := SS1(); c.MaxInsts = 5_000; c.MaxCycles = 2_000_000; return c }())
+	fullCfg := SS1()
+	fullCfg.MaxInsts, fullCfg.MaxCycles = 5_000, 2_000_000
+	full, err := Run(program, fullCfg)
 	if err != nil {
 		t.Fatal(err)
 	}

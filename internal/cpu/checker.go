@@ -64,13 +64,6 @@ func signatureOf(e *Entry) signature {
 // rewinds. This is the paper's R=2 design.
 type RewindChecker struct{}
 
-// CheckerFingerprint identifies the policy for snapshot
-// compatibility checks (see Config.Fingerprint): a snapshot is only
-// restorable under a checker that commits and rewinds identically.
-// The rewind policy is stateless, so a constant tag is its whole
-// identity.
-func (RewindChecker) CheckerFingerprint() uint64 { return 0x726577696e6431 } // "rewind1"
-
 // Check compares all copies against copy 0.
 func (RewindChecker) Check(group []*Entry) Verdict {
 	ref := signatureOf(group[0])
@@ -94,13 +87,6 @@ type MajorityChecker struct {
 	// hot loop stays allocation-free. A checker belongs to exactly one
 	// machine and Check runs on the machine's goroutine, so no locking.
 	sigs []signature
-}
-
-// CheckerFingerprint identifies the election policy and its
-// parameters — the scratch buffer is implementation detail, R and
-// Threshold are behaviour.
-func (c *MajorityChecker) CheckerFingerprint() uint64 {
-	return 0x6d616a00<<32 | uint64(uint32(c.R))<<16 | uint64(uint16(c.Threshold))
 }
 
 // Check elects a majority among the copies' signatures.

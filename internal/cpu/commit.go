@@ -67,7 +67,7 @@ func (m *Machine) commit() error {
 				m.faultRewind()
 				return nil
 			}
-			verdict := m.cfg.Checker.Check(group)
+			verdict := m.checker.Check(group)
 			if verdict.Mismatch {
 				m.stats.FaultsDetected++
 			}

@@ -15,9 +15,12 @@
 // Redundant execution (R >= 2) implements Section 3.2: each fetched
 // instruction dispatches into R consecutive RUU entries, renaming only
 // the first copy and deriving copy k's operand tags by adding an offset
-// of k; the commit stage checks the R copies against each other (via the
-// configured Checker: RewindChecker or MajorityChecker) before a single
-// instruction retires, and a rejected group rewinds the machine.
+// of k; the commit stage checks the R copies against each other before a
+// single instruction retires, and a rejected group rewinds the machine.
+// Config is plain data: on every build, reset and restore the machine
+// rounds the RUU down to a multiple of R, picks its commit checker
+// (RewindChecker, or MajorityChecker under Majority) and seeds its own
+// fault injector from Fault.
 package cpu
 
 import (
@@ -66,19 +69,23 @@ type Config struct {
 	Hierarchy cache.HierarchyConfig
 	Bpred     bpred.Config
 
-	// R is the degree of redundancy: 1 disables replication.
+	// R is the degree of redundancy: 1 disables replication. The
+	// machine rounds RUUSize down to a multiple of R (128 -> 126 at R=3).
 	R int
 	// CoSchedule makes copies of the same instruction prefer distinct
 	// physical functional-unit instances (Section 3.5, "Multi-cycle and
 	// Correlated Faults").
 	CoSchedule bool
-	// Checker cross-checks the R copies of each retiring group. It must
-	// be non-nil when R >= 2; RewindChecker and MajorityChecker are the
-	// paper's policies.
-	Checker Checker
-	// Injector corrupts speculative per-copy values; nil disables
+	// Majority selects the commit check for R >= 3: majority election
+	// (MajorityChecker) instead of rewinding on any mismatch
+	// (RewindChecker, the R = 2 design).
+	Majority bool
+	// MajorityThreshold is how many copies must agree for an election
+	// to commit; it must lie in [1, R] when Majority is set.
+	MajorityThreshold int
+	// Fault is the transient-fault programme; a zero Rate disables
 	// injection.
-	Injector *fault.Injector
+	Fault fault.Config
 	// Persistent models a hard stuck-bit fault in one physical unit's
 	// bitwise-logic slice (Section 2.2's indiscernible-error scenario).
 	Persistent *fault.Persistent
@@ -119,15 +126,12 @@ func (c *Config) Validate() error {
 	switch {
 	case c.R < 1:
 		return fmt.Errorf("cpu: redundancy R=%d < 1", c.R)
-	case c.R > 1 && c.Checker == nil:
-		return fmt.Errorf("cpu: R=%d requires a Checker", c.R)
-	case c.RUUSize < c.R || c.RUUSize%c.R != 0:
-		// Section 3.2 provisions the ROB as a multiple of R so a group's
-		// R copies always fit together. (The implementation only relies
-		// on copies occupying consecutive ring slots — the storage ring
-		// is rounded up to a power of two independent of R — but the
-		// architectural capacity keeps the paper's constraint.)
-		return fmt.Errorf("cpu: RUU size %d is not a positive multiple of R=%d", c.RUUSize, c.R)
+	case c.Majority && c.R < 3:
+		return fmt.Errorf("cpu: majority election needs R >= 3, have R=%d", c.R)
+	case c.Majority && (c.MajorityThreshold < 1 || c.MajorityThreshold > c.R):
+		return fmt.Errorf("cpu: majority threshold %d outside [1, R=%d]", c.MajorityThreshold, c.R)
+	case c.RUUSize < c.R:
+		return fmt.Errorf("cpu: RUU size %d cannot hold one R=%d group", c.RUUSize, c.R)
 	case c.LSQSize < 1:
 		return fmt.Errorf("cpu: LSQ size %d < 1", c.LSQSize)
 	case c.FetchWidth < 1 || c.DispatchWidth < 1 || c.IssueWidth < 1 || c.CommitWidth < 1:
@@ -141,6 +145,11 @@ func (c *Config) Validate() error {
 	}
 	return nil
 }
+
+// ruuSize is the architectural RUU capacity: Section 3.2 provisions
+// the RUU as a multiple of R so a group's R copies always fit together.
+// (The storage ring is a power of two regardless of R.)
+func (c *Config) ruuSize() int { return c.RUUSize - c.RUUSize%c.R }
 
 // Baseline returns the paper's Table 1 machine: an 8-way out-of-order
 // superscalar with a 128-entry RUU, 64-entry LSQ, 4 integer ALUs, 2

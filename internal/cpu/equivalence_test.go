@@ -68,21 +68,11 @@ func TestScanVsEventEquivalence(t *testing.T) {
 					}
 					cfg.R = v.r
 					cfg.CoSchedule = v.cosched
-					if v.r > 1 {
-						cfg.Checker = RewindChecker{}
-						if v.majority {
-							cfg.Checker = &MajorityChecker{R: v.r, Threshold: 2}
-						}
-						cfg.RUUSize -= cfg.RUUSize % v.r
-					}
-					// Each run needs its own injector: the RNG stream is
-					// consumed during simulation, and its consumption
+					cfg.Majority, cfg.MajorityThreshold = v.majority, 2
+					// Each machine builds its own injector: the RNG stream
+					// is consumed during simulation, and its consumption
 					// order is part of what equivalence checks.
-					cfg.Injector = fault.New(fault.Config{
-						Rate:    1e-3,
-						Seed:    1234,
-						Targets: fault.AllTargets,
-					})
+					cfg.Fault = fault.Config{Rate: 1e-3, Seed: 1234, Targets: fault.AllTargets}
 					cfg.MaxInsts = 3_000
 					cfg.MaxCycles = 2_000_000
 					m, err := New(cfg, program)

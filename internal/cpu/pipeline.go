@@ -50,6 +50,11 @@ type Machine struct {
 	caches   *cache.Hierarchy
 	injector *fault.Injector
 
+	// checker cross-checks each retiring group; nil when R = 1, and
+	// &majority under Majority, so its scratch survives resets.
+	checker  Checker
+	majority MajorityChecker
+
 	mapTable [isa.NumRegs]mapRef
 
 	// Event-driven scheduling state (see sched.go). eventSched gates the
@@ -108,11 +113,6 @@ func New(cfg Config, p *prog.Program) (*Machine, error) {
 
 // Stats returns the statistics gathered so far.
 func (m *Machine) Stats() *Stats { return &m.stats }
-
-// Injector returns the machine's fault injector (nil when injection is
-// disabled). Machine recyclers use it to reseed the existing RNG state
-// instead of allocating a new injector per trial.
-func (m *Machine) Injector() *fault.Injector { return m.injector }
 
 // emit records a pipeline event for one entry when tracing is enabled.
 func (m *Machine) emit(stage trace.Stage, e *Entry) {

@@ -84,9 +84,6 @@ func TestRandomProgramEquivalence(t *testing.T) {
 		for _, r := range []int{1, 2} {
 			cfg := Baseline()
 			cfg.R = r
-			if r > 1 {
-				cfg.Checker = RewindChecker{}
-			}
 			cfg.Oracle = true
 			cfg.MaxCycles = 2_000_000
 			m, err := New(cfg, p)

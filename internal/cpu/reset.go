@@ -4,6 +4,7 @@ import (
 	"repro/internal/bpred"
 	"repro/internal/cache"
 	"repro/internal/ecc"
+	"repro/internal/fault"
 	"repro/internal/funcsim"
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -33,9 +34,7 @@ const watchCap = 8
 // referees.
 //
 // Reset fully sanitises dirty state, so it is safe after a cancelled or
-// deadlocked run that left instructions in flight. cfg.Injector, if
-// reused from the previous run, must be reseeded by the caller (see
-// fault.Renew); Reset takes cfg at face value.
+// deadlocked run that left instructions in flight.
 func (m *Machine) Reset(cfg Config, p *prog.Program) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -63,9 +62,24 @@ func (m *Machine) Reset(cfg Config, p *prog.Program) error {
 // are reset, slabs are reused where the geometry fits. It is the part
 // of Reset shared with Restore, which overwrites the zeroed committed
 // state from a snapshot instead of loading a program. cfg must
-// already be validated.
+// already be validated. It is also the one place the redundancy rules
+// are applied: the RUU is rounded down to a multiple of R and the
+// checker is chosen from R and Majority. The majority checker's scratch
+// and the injector's RNG storage are reused (fault.Renew reseeds the
+// identical stream).
 func (m *Machine) resetHardware(cfg Config) {
+	cfg.RUUSize = cfg.ruuSize()
 	m.cfg = cfg
+	switch {
+	case cfg.R == 1:
+		m.checker = nil
+	case cfg.Majority:
+		m.majority.R, m.majority.Threshold = cfg.R, cfg.MajorityThreshold
+		m.checker = &m.majority
+	default:
+		m.checker = RewindChecker{}
+	}
+	m.injector = fault.Renew(m.injector, cfg.Fault)
 
 	// Committed architectural state.
 	m.regs = [isa.NumRegs]uint64{}
@@ -96,7 +110,6 @@ func (m *Machine) resetHardware(cfg Config) {
 	}
 	m.bp = bpred.Renew(m.bp, cfg.Bpred)
 	m.caches = cache.Renew(m.caches, cfg.Hierarchy)
-	m.injector = cfg.Injector
 	m.mapTable = [isa.NumRegs]mapRef{}
 
 	// Event-scheduling state, pre-sized so steady-state pushes never

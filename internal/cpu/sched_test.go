@@ -167,7 +167,6 @@ func TestReadySetScanOrder(t *testing.T) {
 		// copies sit at slots 15 and 0.
 		cfg := Baseline()
 		cfg.R, cfg.RUUSize, cfg.LSQSize = 2, 16, 8
-		cfg.Checker = RewindChecker{}
 		h := newIssueHarness(t, cfg, 15)
 		h.dispatch(isa.Inst{Op: isa.OpLd, Rd: 1, Imm: 0x1000})
 		c0 := h.m.ruu.at(15)

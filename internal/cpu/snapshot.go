@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 
+	"repro/internal/fault"
 	"repro/internal/funcsim"
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -28,6 +29,10 @@ const maxRestoreDraws = 1 << 30
 // redundancy policy, checker identity, fault programme — into one
 // value. Two configurations with equal fingerprints build machines
 // that execute identically, so a snapshot is portable between them.
+// It hashes what the machine uses, not what was asked for: the RUU
+// size rounded down to a multiple of R, and a disabled fault programme
+// as the zero fault.Config whatever its seed, so RUU 128 and RUU 126
+// give an R=3 machine the same fingerprint.
 // Run limits (MaxInsts/MaxCycles), the cosmetic Name, StrictOracle
 // and the observation/trace hooks are excluded: they affect when a
 // run stops or what a host sees, never what the machine computes, and
@@ -37,21 +42,24 @@ func (c *Config) Fingerprint() uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "fw%d fq%d rp%d rcp%d dw%d iw%d cw%d ruu%d lsq%d",
 		c.FetchWidth, c.FetchQueue, c.RedirectPenalty, c.RecoveryPenalty,
-		c.DispatchWidth, c.IssueWidth, c.CommitWidth, c.RUUSize, c.LSQSize)
+		c.DispatchWidth, c.IssueWidth, c.CommitWidth, c.ruuSize(), c.LSQSize)
 	fmt.Fprintf(h, " fu%d,%d,%d,%d,%d", c.IntALU, c.IntMult, c.FPAdd, c.FPMult, c.MemPorts)
 	fmt.Fprintf(h, " mem%+v", c.Hierarchy)
 	fmt.Fprintf(h, " bp%+v", c.Bpred.Canonical())
 	fmt.Fprintf(h, " r%d cosched%v transform%v oracle%v", c.R, c.CoSchedule, c.TransformOperands, c.Oracle)
-	switch ck := c.Checker.(type) {
-	case nil:
+	switch {
+	case c.R == 1:
 		fmt.Fprint(h, " chk:nil")
-	case interface{ CheckerFingerprint() uint64 }:
-		fmt.Fprintf(h, " chk:%#x", ck.CheckerFingerprint())
+	case c.Majority:
+		fmt.Fprintf(h, " chk:%#x", 0x6d616a00<<32|uint64(uint32(c.R))<<16|uint64(uint16(c.MajorityThreshold)))
 	default:
-		fmt.Fprintf(h, " chk:%T", ck)
+		fmt.Fprintf(h, " chk:%#x", 0x726577696e6431) // "rewind1"
 	}
-	ic := c.Injector.Config()
-	fmt.Fprintf(h, " inj:%v/%d/%v", ic.Rate, ic.Seed, ic.Targets)
+	var fc fault.Config
+	if c.Fault.Enabled() {
+		fc = c.Fault
+	}
+	fmt.Fprintf(h, " inj:%v/%d/%v", fc.Rate, fc.Seed, fc.Targets)
 	if c.Persistent != nil {
 		fmt.Fprintf(h, " pers:%+v", *c.Persistent)
 	}
@@ -182,9 +190,9 @@ func (m *Machine) Snapshot() []byte {
 //
 // cfg may differ from the donor's in the non-fingerprinted fields —
 // notably MaxInsts/MaxCycles, so a workload snapshotted at one budget
-// can resume under a larger one — and cfg.Injector must be a live
-// injector when the fingerprint says fault injection is on (Restore
-// rewinds it to the donor's RNG position).
+// can resume under a larger one. The machine's fault injector is
+// reseeded from cfg.Fault and then rewound to the donor's RNG
+// position.
 func (m *Machine) Restore(cfg Config, data []byte) error {
 	if err := cfg.Validate(); err != nil {
 		return err

@@ -176,7 +176,7 @@ func TestRedundantDispatchHalved(t *testing.T) {
 	b.Halt()
 	p := b.MustBuild()
 	ss1 := timingRun(t, p, nil)
-	ss2 := timingRun(t, p, func(c *Config) { c.R = 2; c.Checker = RewindChecker{} })
+	ss2 := timingRun(t, p, func(c *Config) { c.R = 2 })
 	ratio := ss2.IPC() / ss1.IPC()
 	if ratio < 0.4 || ratio > 0.62 {
 		t.Errorf("SS-2/SS-1 = %.2f on a width-bound loop, want ~0.5", ratio)

@@ -69,11 +69,7 @@ func TestAllocHandsOutZeroSlots(t *testing.T) {
 	}
 	cfg := Baseline()
 	cfg.R = 2
-	cfg.Checker = RewindChecker{}
-	newInjector := func() *fault.Injector {
-		return fault.New(fault.Config{Rate: 1e-2, Seed: 9, Targets: fault.AllTargets})
-	}
-	cfg.Injector = newInjector()
+	cfg.Fault = fault.Config{Rate: 1e-2, Seed: 9, Targets: fault.AllTargets}
 	m, err := New(cfg, program)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +102,6 @@ func TestAllocHandsOutZeroSlots(t *testing.T) {
 	if m.ruu.count == 0 {
 		t.Fatal("want live entries at the Reset")
 	}
-	cfg.Injector = newInjector()
 	if err := m.Reset(cfg, program); err != nil {
 		t.Fatal(err)
 	}
@@ -376,16 +371,16 @@ func TestCoSchedulePlacesCopiesOnDistinctUnits(t *testing.T) {
 	p := b.MustBuild()
 
 	measure := func(cosched bool) (distinct, same int) {
-		rc := &recordingChecker{}
 		cfg := Baseline()
 		cfg.R = 2
-		cfg.Checker = rc
 		cfg.CoSchedule = cosched
 		cfg.MaxCycles = 1_000_000
 		m, err := New(cfg, p)
 		if err != nil {
 			t.Fatal(err)
 		}
+		rc := &recordingChecker{}
+		m.checker = rc
 		if _, err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -422,7 +417,6 @@ func TestNextPCUpsetAbsorbed(t *testing.T) {
 	b.Halt()
 	cfg := Baseline()
 	cfg.R = 2
-	cfg.Checker = RewindChecker{}
 	cfg.Oracle = true
 	m, err := New(cfg, b.MustBuild())
 	if err != nil {
@@ -463,9 +457,6 @@ func TestRedundantLoadSingleAccess(t *testing.T) {
 	run := func(r int) (dl1Accesses uint64, out uint64) {
 		cfg := Baseline()
 		cfg.R = r
-		if r > 1 {
-			cfg.Checker = RewindChecker{}
-		}
 		cfg.MaxCycles = 1_000_000
 		m, err := New(cfg, p)
 		if err != nil {
@@ -507,7 +498,6 @@ func TestPipelineTrace(t *testing.T) {
 	buf := trace.NewBuffer(100_000)
 	cfg := Baseline()
 	cfg.R = 2
-	cfg.Checker = RewindChecker{}
 	cfg.Tracer = buf
 	cfg.MaxCycles = 100_000
 	m, err := New(cfg, b.MustBuild())

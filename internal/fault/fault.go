@@ -113,57 +113,31 @@ type Injector struct {
 	Stats Stats
 }
 
-// New builds an injector; a nil return means injection is disabled.
-func New(cfg Config) *Injector {
-	if !cfg.Enabled() {
-		return nil
-	}
-	targets := cfg.Targets
-	if len(targets) == 0 {
-		targets = []Target{TargetResult}
-	}
-	src := &countedSource{src: rand.NewSource(cfg.Seed)}
-	return &Injector{
-		cfg:     cfg,
-		rng:     rand.New(src),
-		src:     src,
-		targets: targets,
-	}
-}
-
-// Renew returns an injector for cfg, reusing old's RNG storage when
-// possible; like New it returns nil when injection is disabled.
-// Reseeding a rand.Rand reproduces exactly the stream a fresh
-// rand.New(rand.NewSource(seed)) would draw, so a recycled injector's
-// fault schedule is bit-identical to a fresh injector's — the property
-// the pooled-machine equivalence tests assert. The alternative, a new
-// injector per trial, costs a ~5 KB generator state allocation each
-// time.
+// Renew returns an injector for cfg, or nil when cfg disables
+// injection. A nil old builds a fresh injector; otherwise old's RNG
+// storage is reseeded and reused. Reseeding a rand.Rand reproduces
+// exactly the stream a fresh rand.New(rand.NewSource(seed)) would draw,
+// so a recycled injector's fault schedule is bit-identical to a fresh
+// injector's — the property the pooled-machine equivalence tests
+// assert. The alternative, a new injector per trial, costs a ~5 KB
+// generator state allocation each time.
 func Renew(old *Injector, cfg Config) *Injector {
 	if !cfg.Enabled() {
 		return nil
 	}
 	if old == nil {
-		return New(cfg)
-	}
-	targets := cfg.Targets
-	if len(targets) == 0 {
-		targets = []Target{TargetResult}
+		src := &countedSource{src: rand.NewSource(cfg.Seed)}
+		old = &Injector{rng: rand.New(src), src: src}
+	} else {
+		old.rng.Seed(cfg.Seed)
 	}
 	old.cfg = cfg
-	old.rng.Seed(cfg.Seed)
-	old.targets = targets
+	old.targets = cfg.Targets
+	if len(old.targets) == 0 {
+		old.targets = []Target{TargetResult}
+	}
 	old.Stats = Stats{}
 	return old
-}
-
-// Config returns the injector's configuration; nil-safe (a nil
-// injector reports the zero, disabled Config).
-func (in *Injector) Config() Config {
-	if in == nil {
-		return Config{}
-	}
-	return in.cfg
 }
 
 // Draws reports how many raw RNG values the injector has consumed

@@ -3,11 +3,12 @@ package fault
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"testing"
 )
 
 func TestDisabled(t *testing.T) {
-	if in := New(Config{Rate: 0}); in != nil {
+	if in := Renew(nil, Config{Rate: 0}); in != nil {
 		t.Error("zero rate returned a non-nil injector")
 	}
 	var nilInj *Injector
@@ -19,7 +20,7 @@ func TestDisabled(t *testing.T) {
 func TestRateStatistics(t *testing.T) {
 	const n = 200_000
 	const rate = 0.01
-	in := New(Config{Rate: rate, Seed: 7})
+	in := Renew(nil, Config{Rate: rate, Seed: 7})
 	hits := 0
 	for i := 0; i < n; i++ {
 		if _, hit := in.Roll(); hit {
@@ -36,9 +37,11 @@ func TestRateStatistics(t *testing.T) {
 	}
 }
 
+// TestDeterminism: a seed fixes the fault schedule, whether the
+// injector is fresh or a used one renewed for the same seed.
 func TestDeterminism(t *testing.T) {
-	roll := func() []uint64 {
-		in := New(Config{Rate: 0.05, Seed: 99, Targets: AllTargets})
+	cfg := Config{Rate: 0.05, Seed: 99, Targets: AllTargets}
+	roll := func(in *Injector) []uint64 {
 		var seq []uint64
 		for i := 0; i < 1000; i++ {
 			if tgt, hit := in.Roll(); hit {
@@ -47,19 +50,19 @@ func TestDeterminism(t *testing.T) {
 		}
 		return seq
 	}
-	a, b := roll(), roll()
-	if len(a) != len(b) {
-		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
+	used := Renew(nil, Config{Rate: 0.5, Seed: 1})
+	roll(used)
+	a, b, c := roll(Renew(nil, cfg)), roll(Renew(nil, cfg)), roll(Renew(used, cfg))
+	if !slices.Equal(a, b) || !slices.Equal(a, c) {
+		t.Fatalf("schedules differ: fresh %d hits, fresh %d, renewed %d", len(a), len(b), len(c))
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("sequence diverges at %d", i)
-		}
+	if used.Stats.Injected != uint64(len(c)) {
+		t.Errorf("renewed injector counts %d faults, want %d", used.Stats.Injected, len(c))
 	}
 }
 
 func TestTargetSelection(t *testing.T) {
-	in := New(Config{Rate: 1.0, Seed: 3, Targets: AllTargets})
+	in := Renew(nil, Config{Rate: 1.0, Seed: 3, Targets: AllTargets})
 	var seen [numTargets]bool
 	for i := 0; i < 200; i++ {
 		tgt, hit := in.Roll()
@@ -79,7 +82,7 @@ func TestTargetSelection(t *testing.T) {
 }
 
 func TestDefaultTargetIsResult(t *testing.T) {
-	in := New(Config{Rate: 1.0, Seed: 1})
+	in := Renew(nil, Config{Rate: 1.0, Seed: 1})
 	for i := 0; i < 50; i++ {
 		tgt, _ := in.Roll()
 		if tgt != TargetResult {
@@ -89,7 +92,7 @@ func TestDefaultTargetIsResult(t *testing.T) {
 }
 
 func TestFlipBit(t *testing.T) {
-	in := New(Config{Rate: 1, Seed: 11})
+	in := Renew(nil, Config{Rate: 1, Seed: 11})
 	for i := 0; i < 100; i++ {
 		v := uint64(0xAAAA_5555_AAAA_5555)
 		got := in.FlipBit(v)
@@ -103,7 +106,7 @@ func TestFlipBit(t *testing.T) {
 }
 
 func TestFlipLowBit(t *testing.T) {
-	in := New(Config{Rate: 1, Seed: 13})
+	in := Renew(nil, Config{Rate: 1, Seed: 13})
 	for i := 0; i < 100; i++ {
 		got := in.FlipLowBit(0, 16)
 		if got == 0 || got >= 1<<16 {
