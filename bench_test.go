@@ -23,11 +23,11 @@ import (
 // benchInsts is the committed-instruction budget per simulated run.
 const benchInsts = 20_000
 
-// benchMachine builds a machine from opts (a model option first) with
-// the benchmark run limits.
-func benchMachine(b *testing.B, opts ...ftsim.Option) *ftsim.Machine {
+// benchMachine builds a machine from cfg with the benchmark run limits.
+func benchMachine(b *testing.B, cfg ftsim.Config) *ftsim.Machine {
 	b.Helper()
-	m, err := ftsim.New(append(opts, ftsim.WithMaxInsts(benchInsts), ftsim.WithMaxCycles(benchInsts*200))...)
+	cfg.MaxInsts, cfg.MaxCycles = benchInsts, benchInsts*200
+	m, err := ftsim.NewFromConfig(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func BenchmarkFig5SteadyState(b *testing.B) {
 		for _, mo := range models {
 			b.Run(name+"/"+mo.name, func(b *testing.B) {
 				p := benchProgram(b, name)
-				m := benchMachine(b, ftsim.WithModel(mo.model))
+				m := benchMachine(b, mo.model.Config())
 				b.ResetTimer()
 				var ipc float64
 				for i := 0; i < b.N; i++ {
@@ -137,8 +137,9 @@ func BenchmarkFig6FaultSweep(b *testing.B) {
 		}{{"R2", ftsim.ModelSS2}, {"R3maj", ftsim.ModelSS3}} {
 			b.Run(fmt.Sprintf("%s/faultsPerM=%.0f", mk.name, rate), func(b *testing.B) {
 				p := benchProgram(b, "fpppp")
-				m := benchMachine(b, ftsim.WithModel(mk.model), ftsim.WithFaultRate(rate/1e6),
-					ftsim.WithFaultSeed(9), ftsim.WithFaultTargets(ftsim.AllFaultTargets()...))
+				cfg := mk.model.Config()
+				cfg.Fault = ftsim.FaultConfig{Rate: rate / 1e6, Seed: 9, Targets: ftsim.AllFaultTargets()}
+				m := benchMachine(b, cfg)
 				b.ResetTimer()
 				var ipc, rewinds float64
 				for i := 0; i < b.N; i++ {
@@ -160,14 +161,15 @@ func BenchmarkSensitivity(b *testing.B) {
 	for _, name := range []string{"fpppp", "go", "ammp"} {
 		b.Run(name, func(b *testing.B) {
 			p := benchProgram(b, name)
-			ss1 := benchMachine(b, ftsim.SS1())
-			doubled := benchMachine(b, ftsim.SS1(), ftsim.WithPipeline(func(c *ftsim.PipelineConfig) {
-				c.IntALU *= 2
-				c.IntMult *= 2
-				c.FPAdd *= 2
-				c.FPMult *= 2
-				c.MemPorts *= 2
-			}))
+			ss1 := benchMachine(b, ftsim.ModelSS1.Config())
+			cfg := ftsim.ModelSS1.Config()
+			c := &cfg.Pipeline
+			c.IntALU *= 2
+			c.IntMult *= 2
+			c.FPAdd *= 2
+			c.FPMult *= 2
+			c.MemPorts *= 2
+			doubled := benchMachine(b, cfg)
 			b.ResetTimer()
 			var base, fu2 float64
 			for i := 0; i < b.N; i++ {
@@ -186,11 +188,9 @@ func BenchmarkAblateCoSchedule(b *testing.B) {
 	for _, cosched := range []bool{false, true} {
 		b.Run(fmt.Sprintf("cosched=%v", cosched), func(b *testing.B) {
 			p := benchProgram(b, "gcc")
-			opts := []ftsim.Option{ftsim.SS2()}
-			if cosched {
-				opts = append(opts, ftsim.WithCoSchedule())
-			}
-			m := benchMachine(b, opts...)
+			cfg := ftsim.ModelSS2.Config()
+			cfg.CoSchedule = cosched
+			m := benchMachine(b, cfg)
 			b.ResetTimer()
 			var ipc float64
 			for i := 0; i < b.N; i++ {
@@ -207,9 +207,12 @@ func BenchmarkAblateCommitWidth(b *testing.B) {
 	for _, w := range []int{4, 8, 16} {
 		b.Run(fmt.Sprintf("width=%d", w), func(b *testing.B) {
 			p := benchProgram(b, "gcc")
-			width := ftsim.WithPipeline(func(c *ftsim.PipelineConfig) { c.CommitWidth = w })
-			ss1 := benchMachine(b, ftsim.SS1(), width)
-			ss2 := benchMachine(b, ftsim.SS2(), width)
+			withWidth := func(cfg ftsim.Config) ftsim.Config {
+				cfg.Pipeline.CommitWidth = w
+				return cfg
+			}
+			ss1 := benchMachine(b, withWidth(ftsim.ModelSS1.Config()))
+			ss2 := benchMachine(b, withWidth(ftsim.ModelSS2.Config()))
 			b.ResetTimer()
 			var ratio float64
 			for i := 0; i < b.N; i++ {
@@ -278,10 +281,10 @@ func BenchmarkPipelineHot(b *testing.B) {
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			m := benchMachine(b, ftsim.WithModel(c.model), ftsim.WithPipeline(func(pc *ftsim.PipelineConfig) {
-				pc.RUUSize = c.ruu
-				pc.LSQSize = c.ruu / 2
-			}))
+			cfg := c.model.Config()
+			cfg.Pipeline.RUUSize = c.ruu
+			cfg.Pipeline.LSQSize = c.ruu / 2
+			m := benchMachine(b, cfg)
 			b.ResetTimer()
 			var cycles uint64
 			for i := 0; i < b.N; i++ {
@@ -297,7 +300,7 @@ func BenchmarkPipelineHot(b *testing.B) {
 // number that bounds experiment turnaround).
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	p := benchProgram(b, "bzip")
-	m := benchMachine(b, ftsim.SS1())
+	m := benchMachine(b, ftsim.ModelSS1.Config())
 	b.ResetTimer()
 	total := uint64(0)
 	for i := 0; i < b.N; i++ {

@@ -2,8 +2,8 @@
 // Superscalar Datapath for Transient-Fault Detection and Recovery"
 // (Ray, Hoe, Falsafi; MICRO 2001).
 //
-// The supported programmatic surface is the top-level package ftsim: a
-// functional-options builder over serializable machine configs,
+// The supported programmatic surface is the top-level package ftsim:
+// serializable machine configs with one constructor, NewFromConfig,
 // context-aware sessions, streaming progress observers and a typed
 // error taxonomy. The implementation lives under internal/: package
 // cpu implements the paper's fault-tolerant superscalar (redundant

@@ -127,7 +127,9 @@ func main() {
 		ref.Insts, int64(ref.Output[0]), int64(ref.Output[1]), int64(ref.Output[2]))
 
 	// Out-of-order pipeline, fault-tolerant mode, with the oracle on.
-	m, err := ftsim.New(ftsim.SS2(), ftsim.WithOracle())
+	cfg := ftsim.ModelSS2.Config()
+	cfg.Oracle = true
+	m, err := ftsim.NewFromConfig(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -28,14 +28,12 @@ func main() {
 	}
 
 	ctx := context.Background()
-	for _, model := range []ftsim.Option{ftsim.SS1(), ftsim.SS2(), ftsim.SS3()} {
-		m, err := ftsim.New(model,
-			ftsim.WithFaultRate(rate),
-			ftsim.WithFaultSeed(7),
-			ftsim.WithFaultTargets(ftsim.AllFaultTargets()...),
-			ftsim.WithOracle(),
-			ftsim.WithMaxInsts(insts),
-			ftsim.WithMaxCycles(insts*200))
+	for _, model := range []ftsim.Model{ftsim.ModelSS1, ftsim.ModelSS2, ftsim.ModelSS3} {
+		cfg := model.Config()
+		cfg.Fault = ftsim.FaultConfig{Rate: rate, Seed: 7, Targets: ftsim.AllFaultTargets()}
+		cfg.Oracle = true
+		cfg.MaxInsts, cfg.MaxCycles = insts, insts*200
+		m, err := ftsim.NewFromConfig(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -54,8 +54,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	run := func(model ftsim.Option) {
-		m, err := ftsim.New(model, ftsim.WithOracle())
+	run := func(model ftsim.Model) {
+		cfg := model.Config()
+		cfg.Oracle = true
+		m, err := ftsim.NewFromConfig(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -63,14 +65,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cfg := m.Config()
 		fmt.Printf("%-8s R=%d  cycles=%-8d IPC=%.3f  checksum=%#x  escaped-faults=%d\n",
 			cfg.Name, cfg.R, st.Cycles, st.IPC(), st.Output[0], st.EscapedFaults)
 	}
 
 	fmt.Println("quickstart: identical program, identical results, different protection")
-	run(ftsim.SS1())
-	run(ftsim.SS2())
+	run(ftsim.ModelSS1)
+	run(ftsim.ModelSS2)
 	fmt.Println()
 	fmt.Println("SS-2 executes every instruction twice and cross-checks at commit,")
 	fmt.Println("so its IPC is lower — that gap is the price of fault detection.")

@@ -28,12 +28,12 @@ func main() {
 
 	modes := []struct {
 		name  string
-		model ftsim.Option
+		model ftsim.Model
 	}{
-		{"SS-1 (fast, unprotected)", ftsim.SS1()},
-		{"SS-2 (detect + rewind)", ftsim.SS2()},
-		{"SS-3 (majority election)", ftsim.SS3()},
-		{"SS-3 (rewind only)", ftsim.SS3Rewind()},
+		{"SS-1 (fast, unprotected)", ftsim.ModelSS1},
+		{"SS-2 (detect + rewind)", ftsim.ModelSS2},
+		{"SS-3 (majority election)", ftsim.ModelSS3},
+		{"SS-3 (rewind only)", ftsim.ModelSS3Rewind},
 	}
 	rates := []float64{0, 1e-5, 1e-3}
 
@@ -44,13 +44,11 @@ func main() {
 	var base float64
 	for _, mode := range modes {
 		for _, rate := range rates {
-			m, err := ftsim.New(mode.model,
-				ftsim.WithFaultRate(rate),
-				ftsim.WithFaultSeed(11),
-				ftsim.WithFaultTargets(ftsim.AllFaultTargets()...),
-				ftsim.WithOracle(),
-				ftsim.WithMaxInsts(60_000),
-				ftsim.WithMaxCycles(20_000_000))
+			cfg := mode.model.Config()
+			cfg.Fault = ftsim.FaultConfig{Rate: rate, Seed: 11, Targets: ftsim.AllFaultTargets()}
+			cfg.Oracle = true
+			cfg.MaxInsts, cfg.MaxCycles = 60_000, 20_000_000
+			m, err := ftsim.NewFromConfig(cfg)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -58,7 +56,6 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			cfg := m.Config()
 			if cfg.R == 1 && rate == 0 {
 				base = st.IPC()
 			}

@@ -184,8 +184,8 @@ func WithFailFast() CampaignOption {
 //     batch of results, and its resumed aggregate statistics are
 //     identical to an uninterrupted run's.
 //
-// Machines are pooled per worker, so trial cost is dominated by
-// simulation, not construction. The returned error summarises trial
+// Machines are pooled across the campaign, so trial cost is dominated
+// by simulation, not construction. The returned error summarises trial
 // failures (the report still carries every completed result — partial
 // results are the point of containment) or reports a campaign-level
 // failure (cancellation, checkpoint mismatch, journal I/O). Extract
@@ -195,6 +195,9 @@ func RunCampaign(ctx context.Context, name string, trials []Trial, opts ...Campa
 	for _, opt := range opts {
 		opt(&o)
 	}
+	// One pool serves every trial of the campaign: MachinePool is safe
+	// for concurrent use, and a pooled run equals a fresh one.
+	pool := new(MachinePool)
 	specTrials := make([]campaign.Trial, len(trials))
 	for i := range trials {
 		t := trials[i]
@@ -208,7 +211,7 @@ func RunCampaign(ctx context.Context, name string, trials []Trial, opts ...Campa
 		idx := i
 		specTrials[i] = campaign.Trial{
 			Label: t.Label,
-			Run: func(ctx context.Context, ws *campaign.Workspace, seed int64) (any, error) {
+			Run: func(ctx context.Context, seed int64) (any, error) {
 				run := *m // the seed override must not leak across trials
 				if run.cfg.Fault.Enabled() {
 					run.cfg.Fault.Seed = seed
@@ -217,7 +220,7 @@ func RunCampaign(ctx context.Context, name string, trials []Trial, opts ...Campa
 					run.obs = ObserverFunc(func(iv Interval) { o.observer(idx, t.Label, iv) })
 					run.every = o.observeEvery
 				}
-				return run.RunPooled(ctx, campaignPool(ws), t.Program)
+				return run.RunPooled(ctx, pool, t.Program)
 			},
 		}
 	}
@@ -292,18 +295,4 @@ func decodeStatsValue(data []byte) (any, error) {
 		return nil, fmt.Errorf("ftsim: campaign checkpoint: %w", err)
 	}
 	return st, nil
-}
-
-// campaignPoolKey indexes the per-worker machine pool in a Workspace.
-type campaignPoolKey struct{}
-
-// campaignPool returns the worker's machine pool, creating it on first
-// use.
-func campaignPool(ws *campaign.Workspace) *MachinePool {
-	if v := ws.Value(campaignPoolKey{}); v != nil {
-		return v.(*MachinePool)
-	}
-	p := new(MachinePool)
-	ws.Set(campaignPoolKey{}, p)
-	return p
 }

@@ -142,8 +142,8 @@ type PersistentFault struct {
 // Config is a complete, JSON-serializable description of one
 // fault-tolerant machine plus its run limits. Marshal it to persist the
 // exact machine a campaign ran; ParseConfig restores it. The zero value
-// is not runnable — start from a preset (Model.Config or New with a
-// model option) or call Normalized to fill Table 1 defaults.
+// is not runnable — start from a preset (Model.Config) or call
+// Normalized to fill Table 1 defaults.
 type Config struct {
 	// Name labels the machine in output ("SS-2"); presets fill it.
 	Name string `json:"name,omitempty"`

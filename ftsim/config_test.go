@@ -162,22 +162,70 @@ func TestValidationJoinsAllProblems(t *testing.T) {
 	}
 }
 
-// TestConfigCloneIsolation: the config returned by Machine.Config must
-// not alias the machine's internal state.
+// TestConfigCloneIsolation: a machine shares no state with the config
+// it was built from, nor with the config Machine.Config returns.
 func TestConfigCloneIsolation(t *testing.T) {
-	m, err := ftsim.New(ftsim.SS2(),
-		ftsim.WithFaultRate(0.001),
-		ftsim.WithFaultTargets(ftsim.AllFaultTargets()...),
-		ftsim.WithPersistentFault(ftsim.PersistentFault{Pool: "int-alu", Unit: 0, Bit: 5}))
+	cfg := ftsim.ModelSS2.Config()
+	cfg.Fault = ftsim.FaultConfig{Rate: 0.001, Targets: ftsim.AllFaultTargets()}
+	cfg.Persistent = &ftsim.PersistentFault{Pool: "int-alu", Unit: 0, Bit: 5}
+	m, err := ftsim.NewFromConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := m.Config()
+	aliased := func(c ftsim.Config) bool {
+		return c.Fault.Targets[0] == "cosmic" || c.Persistent.Bit == 63
+	}
 	cfg.Fault.Targets[0] = "cosmic"
 	cfg.Persistent.Bit = 63
-	cfg2 := m.Config()
-	if cfg2.Fault.Targets[0] == "cosmic" || cfg2.Persistent.Bit == 63 {
+	if aliased(m.Config()) {
+		t.Error("NewFromConfig aliases its argument")
+	}
+	got := m.Config()
+	got.Fault.Targets[0] = "cosmic"
+	got.Persistent.Bit = 63
+	if aliased(m.Config()) {
 		t.Error("Machine.Config aliases internal state")
+	}
+}
+
+// TestStrictOracleForcesOracle: WithStrictOracle needs the oracle, so it
+// turns it on even when the config leaves it off.
+func TestStrictOracleForcesOracle(t *testing.T) {
+	cfg := ftsim.ModelSS1.Config()
+	cfg.Oracle = false
+	m, err := ftsim.NewFromConfig(cfg, ftsim.WithStrictOracle())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !m.Config().Oracle {
+		t.Error("WithStrictOracle left Config().Oracle false")
+	}
+}
+
+// TestRuntimeOptionsNotSerialized: the runtime hooks are not part of the
+// machine description, so they leave Config().JSON() unchanged.
+func TestRuntimeOptionsNotSerialized(t *testing.T) {
+	cfg := ftsim.ModelSS2.Config()
+	cfg.Oracle = true
+	js := func(opts ...ftsim.Option) string {
+		t.Helper()
+		m, err := ftsim.NewFromConfig(cfg, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := m.Config().JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	want := js()
+	got := js(ftsim.WithStrictOracle(),
+		ftsim.WithObserver(ftsim.ObserverFunc(func(ftsim.Interval) {})),
+		ftsim.WithObserveEvery(100),
+		ftsim.WithTraceBuffer(64))
+	if got != want {
+		t.Errorf("runtime options changed the serialized config:\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -7,19 +7,23 @@
 //
 // # Building a machine
 //
-// A Machine is assembled from functional options over a serializable
-// Config. Model options pick one of the paper's designs; field options
-// refine it:
+// A Machine is built from a serializable Config by NewFromConfig.
+// Model.Config returns one of the paper's designs with every field
+// explicit; edit the fields a run needs:
 //
-//	m, err := ftsim.New(ftsim.SS2(),
-//		ftsim.WithFaultRate(1e-4),
-//		ftsim.WithFaultTargets(ftsim.AllFaultTargets()...),
-//		ftsim.WithOracle(),
-//		ftsim.WithMaxInsts(1_000_000))
+//	cfg := ftsim.ModelSS2.Config()
+//	cfg.Fault = ftsim.FaultConfig{Rate: 1e-4, Targets: ftsim.AllFaultTargets()}
+//	cfg.Oracle = true
+//	cfg.MaxInsts = 1_000_000
+//	m, err := ftsim.NewFromConfig(cfg)
 //
-// The assembled Config round-trips through JSON (Config.JSON /
-// ParseConfig) with validation and Table 1 defaults, so campaigns and
-// services can persist and replay exact machine descriptions.
+// Runtime hooks that are not part of the machine description —
+// WithObserver, WithObserveEvery, WithTraceBuffer and WithStrictOracle
+// — are the Options NewFromConfig takes after the Config.
+//
+// A Config round-trips through JSON (Config.JSON / ParseConfig) with
+// validation and Table 1 defaults, so campaigns and services can
+// persist and replay exact machine descriptions.
 //
 // # Running
 //

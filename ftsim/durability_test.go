@@ -121,7 +121,7 @@ func TestRestoreRejectsWrongMachine(t *testing.T) {
 	}
 	blob := s.Snapshot()
 
-	other, err := ftsim.New(ftsim.SS3())
+	other, err := ftsim.NewFromConfig(ftsim.ModelSS3.Config())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,8 +38,8 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, model := range []ftsim.Option{ftsim.SS1(), ftsim.SS2()} {
-		m, err := ftsim.New(model)
+	for _, model := range []ftsim.Model{ftsim.ModelSS1, ftsim.ModelSS2} {
+		m, err := ftsim.NewFromConfig(model.Config())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -60,12 +60,11 @@ func Example() {
 // by the commit-stage cross-check and repaired by rewind, so the
 // oracle co-simulation sees no corruption escape.
 func Example_faultInjection() {
-	m, err := ftsim.New(ftsim.SS2(),
-		ftsim.WithFaultRate(1e-3),
-		ftsim.WithFaultSeed(7),
-		ftsim.WithFaultTargets(ftsim.AllFaultTargets()...),
-		ftsim.WithOracle(),
-		ftsim.WithMaxInsts(20_000))
+	cfg := ftsim.ModelSS2.Config()
+	cfg.Fault = ftsim.FaultConfig{Rate: 1e-3, Seed: 7, Targets: ftsim.AllFaultTargets()}
+	cfg.Oracle = true
+	cfg.MaxInsts = 20_000
+	m, err := ftsim.NewFromConfig(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -91,12 +90,11 @@ func Example_faultInjection() {
 // minority is outvoted and the group commits without paying for a
 // rewind — most recoveries become elections.
 func Example_majorityElection() {
-	m, err := ftsim.New(ftsim.SS3(),
-		ftsim.WithFaultRate(1e-3),
-		ftsim.WithFaultSeed(7),
-		ftsim.WithFaultTargets(ftsim.AllFaultTargets()...),
-		ftsim.WithOracle(),
-		ftsim.WithMaxInsts(20_000))
+	cfg := ftsim.ModelSS3.Config()
+	cfg.Fault = ftsim.FaultConfig{Rate: 1e-3, Seed: 7, Targets: ftsim.AllFaultTargets()}
+	cfg.Oracle = true
+	cfg.MaxInsts = 20_000
+	m, err := ftsim.NewFromConfig(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -84,16 +84,15 @@ func TestStatsGolden(t *testing.T) {
 		for _, model := range ftsim.Models() {
 			t.Run(bench+"/"+string(model), func(t *testing.T) {
 				for _, faulty := range []bool{false, true} {
-					opts := []ftsim.Option{ftsim.WithModel(model),
-						ftsim.WithMaxInsts(goldenInsts), ftsim.WithMaxCycles(goldenInsts * 100)}
+					cfg := model.Config()
+					cfg.MaxInsts, cfg.MaxCycles = goldenInsts, goldenInsts*100
 					key := bench + "/" + string(model)
 					if faulty {
-						opts = append(opts, ftsim.WithFaultRate(goldenFaultRate),
-							ftsim.WithFaultSeed(goldenFaultSeed),
-							ftsim.WithFaultTargets(ftsim.AllFaultTargets()...))
+						cfg.Fault = ftsim.FaultConfig{Rate: goldenFaultRate, Seed: goldenFaultSeed,
+							Targets: ftsim.AllFaultTargets()}
 						key += "/faults"
 					}
-					m, err := ftsim.New(opts...)
+					m, err := ftsim.NewFromConfig(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -1,8 +1,6 @@
 package ftsim
 
 import (
-	"net/http"
-
 	"repro/internal/campaign"
 	"repro/internal/obs"
 )
@@ -30,10 +28,6 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 // (idempotent: two calls on one registry share series) and returns the
 // handle WithMetricsSink takes.
 func NewCampaignMetrics(r *MetricsRegistry) *CampaignMetrics { return campaign.NewMetrics(r) }
-
-// MetricsHandler serves r as GET /metrics content (Prometheus text
-// format) — convenience for embedders exposing their own HTTP surface.
-func MetricsHandler(r *MetricsRegistry) http.Handler { return r.Handler() }
 
 // WithMetricsSink streams campaign instrumentation into m: per-trial
 // duration histograms labelled by outcome, trial completion / retry /

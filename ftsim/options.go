@@ -1,94 +1,9 @@
 package ftsim
 
-// Option configures a Machine under construction. Options apply in
-// order; model options (SS1..Static2, WithModel, WithConfig) replace
-// the whole machine description and therefore come first.
+// Option sets a runtime hook on a Machine under construction: the
+// hooks that NewFromConfig takes beside the Config because they are
+// not part of the serializable machine description.
 type Option func(*Machine)
-
-// ---------------------------------------------------------------------
-// Model options.
-
-// WithModel resets the machine description to the named paper design's
-// preset. Unknown models surface as ErrUnknownModel from New.
-func WithModel(model Model) Option {
-	return func(m *Machine) { m.cfg = model.Config() }
-}
-
-// WithConfig resets the machine description to a complete
-// configuration, e.g. one restored by ParseConfig.
-func WithConfig(cfg Config) Option {
-	return func(m *Machine) { m.cfg = cfg.clone() }
-}
-
-// SS1 selects the unprotected Table 1 baseline superscalar.
-func SS1() Option { return WithModel(ModelSS1) }
-
-// SS2 selects the paper's 2-way dynamic-redundant design: instruction
-// injection, commit-stage cross-checking, rewind recovery.
-func SS2() Option { return WithModel(ModelSS2) }
-
-// SS3 selects the 3-way redundant design with majority election.
-func SS3() Option { return WithModel(ModelSS3) }
-
-// SS3Rewind selects the 3-way design that always rewinds on mismatch
-// (majority election disabled), for ablation.
-func SS3Rewind() Option { return WithModel(ModelSS3Rewind) }
-
-// Static2 selects one pipeline of the statically partitioned two-
-// pipeline lock-step processor of Section 5.1.2.
-func Static2() Option { return WithModel(ModelStatic2) }
-
-// ---------------------------------------------------------------------
-// Field options.
-
-// WithName sets the display name used in output.
-func WithName(name string) Option {
-	return func(m *Machine) { m.cfg.Name = name }
-}
-
-// WithR sets the degree of redundancy (1 disables replication). The
-// checker follows the majority setting, as in the paper's designs.
-func WithR(r int) Option {
-	return func(m *Machine) { m.cfg.R = r }
-}
-
-// WithMajority enables majority election (requires R >= 3) with the
-// simple-majority threshold R/2+1.
-func WithMajority() Option {
-	return func(m *Machine) { m.cfg.Majority = true }
-}
-
-// WithMajorityThreshold sets the election acceptance threshold.
-func WithMajorityThreshold(n int) Option {
-	return func(m *Machine) {
-		m.cfg.Majority = true
-		m.cfg.MajorityThreshold = n
-	}
-}
-
-// WithCoSchedule asks issue to place redundant copies on distinct
-// physical functional units (Section 3.5).
-func WithCoSchedule() Option {
-	return func(m *Machine) { m.cfg.CoSchedule = true }
-}
-
-// WithTransformOperands rotates redundant copies' bitwise operands,
-// the Section 2.2 defence against persistent-fault error masking.
-func WithTransformOperands() Option {
-	return func(m *Machine) { m.cfg.TransformOperands = true }
-}
-
-// WithRecoveryPenalty adds fixed cycles to each fault recovery,
-// modelling coarse-grain (checkpoint-style) schemes.
-func WithRecoveryPenalty(cycles int) Option {
-	return func(m *Machine) { m.cfg.RecoveryPenalty = cycles }
-}
-
-// WithOracle co-simulates the in-order oracle of Section 5.1.1 and
-// counts divergences as escaped faults in Stats.
-func WithOracle() Option {
-	return func(m *Machine) { m.cfg.Oracle = true }
-}
 
 // WithStrictOracle enables the oracle and additionally makes the first
 // divergence abort the run with an *OracleError (errors.Is
@@ -99,60 +14,6 @@ func WithStrictOracle() Option {
 		m.strict = true
 	}
 }
-
-// WithFaultRate sets the transient-fault injection probability per
-// executed instruction copy (0 disables injection).
-func WithFaultRate(rate float64) Option {
-	return func(m *Machine) { m.cfg.Fault.Rate = rate }
-}
-
-// WithFaultSeed seeds the fault injector for reproducible streams.
-func WithFaultSeed(seed int64) Option {
-	return func(m *Machine) { m.cfg.Fault.Seed = seed }
-}
-
-// WithFaultTargets selects which speculative values faults corrupt;
-// without it, enabled injection corrupts results only.
-func WithFaultTargets(targets ...FaultTarget) Option {
-	return func(m *Machine) {
-		m.cfg.Fault.Targets = append([]FaultTarget(nil), targets...)
-	}
-}
-
-// WithPersistentFault installs a hard stuck-at-1 bit in one physical
-// functional unit (Section 2.2).
-func WithPersistentFault(pf PersistentFault) Option {
-	return func(m *Machine) { m.cfg.Persistent = &pf }
-}
-
-// WithMaxInsts caps the run at n committed architectural instructions
-// (0 = unlimited).
-func WithMaxInsts(n uint64) Option {
-	return func(m *Machine) { m.cfg.MaxInsts = n }
-}
-
-// WithMaxCycles caps the run at n simulated cycles (0 = unlimited).
-func WithMaxCycles(n uint64) Option {
-	return func(m *Machine) { m.cfg.MaxCycles = n }
-}
-
-// WithPipeline applies an arbitrary tweak to the datapath sizing — the
-// escape hatch sweeps use to scale widths, window or functional units:
-//
-//	ftsim.New(ftsim.SS2(), ftsim.WithPipeline(func(p *ftsim.PipelineConfig) {
-//		p.CommitWidth = 16
-//	}))
-func WithPipeline(tweak func(*PipelineConfig)) Option {
-	return func(m *Machine) { tweak(&m.cfg.Pipeline) }
-}
-
-// WithMemory applies an arbitrary tweak to the cache hierarchy.
-func WithMemory(tweak func(*MemoryConfig)) Option {
-	return func(m *Machine) { tweak(&m.cfg.Memory) }
-}
-
-// ---------------------------------------------------------------------
-// Runtime options (not part of the serializable Config).
 
 // WithObserver streams Interval samples to obs while sessions run, at
 // the DefaultObserveEvery period unless WithObserveEvery overrides it.

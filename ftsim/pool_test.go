@@ -16,13 +16,10 @@ import (
 // fault injection on all targets.
 func faultMachine(t *testing.T, model ftsim.Model, insts uint64, rate float64, seed int64) *ftsim.Machine {
 	t.Helper()
-	m, err := ftsim.New(
-		ftsim.WithModel(model),
-		ftsim.WithFaultRate(rate),
-		ftsim.WithFaultSeed(seed),
-		ftsim.WithFaultTargets(ftsim.AllFaultTargets()...),
-		ftsim.WithMaxInsts(insts),
-		ftsim.WithMaxCycles(insts*100))
+	cfg := model.Config()
+	cfg.Fault = ftsim.FaultConfig{Rate: rate, Seed: seed, Targets: ftsim.AllFaultTargets()}
+	cfg.MaxInsts, cfg.MaxCycles = insts, insts*100
+	m, err := ftsim.NewFromConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +40,9 @@ func dirtyPool(t *testing.T) *ftsim.MachinePool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, err := ftsim.New(ftsim.Static2(), ftsim.WithMaxInsts(3_000), ftsim.WithMaxCycles(300_000))
+	cfg := ftsim.ModelStatic2.Config()
+	cfg.MaxInsts, cfg.MaxCycles = 3_000, 300_000
+	m1, err := ftsim.NewFromConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +116,10 @@ func TestPooledObserver(t *testing.T) {
 	}
 
 	var ivs []ftsim.Interval
-	m, err := ftsim.New(ftsim.SS2(),
-		ftsim.WithFaultRate(1e-4),
-		ftsim.WithFaultSeed(5),
-		ftsim.WithFaultTargets(ftsim.AllFaultTargets()...),
-		ftsim.WithMaxInsts(10_000),
-		ftsim.WithMaxCycles(1_000_000),
+	cfg := ftsim.ModelSS2.Config()
+	cfg.Fault = ftsim.FaultConfig{Rate: 1e-4, Seed: 5, Targets: ftsim.AllFaultTargets()}
+	cfg.MaxInsts, cfg.MaxCycles = 10_000, 1_000_000
+	m, err := ftsim.NewFromConfig(cfg,
 		ftsim.WithObserver(ftsim.ObserverFunc(func(iv ftsim.Interval) { ivs = append(ivs, iv) })),
 		ftsim.WithObserveEvery(1000))
 	if err != nil {

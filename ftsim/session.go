@@ -27,8 +27,8 @@ var ErrSessionUsed = errors.New("ftsim: session already run; Load a new one")
 
 // Machine is a validated, immutable machine description plus the
 // runtime hooks (observer, strictness) sessions inherit. Build one with
-// New or NewFromConfig; it is safe for concurrent use — every Load
-// creates an independent simulation.
+// NewFromConfig; it is safe for concurrent use — every Load creates an
+// independent simulation.
 type Machine struct {
 	cfg      Config
 	obs      Observer
@@ -37,20 +37,22 @@ type Machine struct {
 	traceCap int
 }
 
-// New builds a machine from functional options, starting from the
-// unprotected SS-1 baseline:
+// NewFromConfig builds a machine from a complete configuration — a
+// preset from Model.Config, edited as needed, or one restored by
+// ParseConfig — plus any runtime options:
 //
-//	m, err := ftsim.New(ftsim.SS2(),
-//		ftsim.WithFaultRate(1e-4),
-//		ftsim.WithCoSchedule(),
-//		ftsim.WithMaxInsts(1_000_000))
+//	cfg := ftsim.ModelSS2.Config()
+//	cfg.Fault = ftsim.FaultConfig{Rate: 1e-4, Targets: ftsim.AllFaultTargets()}
+//	cfg.CoSchedule = true
+//	cfg.MaxInsts = 1_000_000
+//	m, err := ftsim.NewFromConfig(cfg)
 //
-// Model options (SS1, SS2, SS3, SS3Rewind, Static2, WithModel,
-// WithConfig) reset the whole machine description, so they must come
-// before field options. The assembled configuration is normalized and
-// validated; errors satisfy errors.Is(err, ErrInvalidConfig).
-func New(opts ...Option) (*Machine, error) {
-	m := &Machine{cfg: ModelSS1.Config()}
+// The machine keeps its own copy of cfg, so later edits to cfg (its
+// fault targets or persistent fault included) do not reach it. The
+// configuration is normalized and validated; errors satisfy
+// errors.Is(err, ErrInvalidConfig).
+func NewFromConfig(cfg Config, opts ...Option) (*Machine, error) {
+	m := &Machine{cfg: cfg.clone()}
 	for _, o := range opts {
 		o(m)
 	}
@@ -59,12 +61,6 @@ func New(opts ...Option) (*Machine, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// NewFromConfig builds a machine from a complete configuration (e.g.
-// one restored by ParseConfig), then applies any further options.
-func NewFromConfig(cfg Config, opts ...Option) (*Machine, error) {
-	return New(append([]Option{WithConfig(cfg)}, opts...)...)
 }
 
 // Config returns a copy of the machine's normalized configuration,

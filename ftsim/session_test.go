@@ -15,12 +15,10 @@ import (
 // marshalled to JSON and restored with ParseConfig must drive the
 // simulator to the identical Stats.
 func TestSerializedConfigRoundTrip(t *testing.T) {
-	m, err := ftsim.New(ftsim.SS2(),
-		ftsim.WithFaultRate(1e-4),
-		ftsim.WithFaultSeed(42),
-		ftsim.WithFaultTargets(ftsim.AllFaultTargets()...),
-		ftsim.WithMaxInsts(8_000),
-		ftsim.WithMaxCycles(800_000))
+	cfg := ftsim.ModelSS2.Config()
+	cfg.Fault = ftsim.FaultConfig{Rate: 1e-4, Seed: 42, Targets: ftsim.AllFaultTargets()}
+	cfg.MaxInsts, cfg.MaxCycles = 8_000, 800_000
+	m, err := ftsim.NewFromConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +55,7 @@ func TestSerializedConfigRoundTrip(t *testing.T) {
 // TestRunContextCancel: cancelling mid-simulation returns promptly with
 // context.Canceled and partial statistics.
 func TestRunContextCancel(t *testing.T) {
-	m, err := ftsim.New(ftsim.SS2(), ftsim.WithMaxInsts(0), ftsim.WithMaxCycles(0))
+	m, err := ftsim.NewFromConfig(ftsim.ModelSS2.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +95,7 @@ func TestRunContextCancel(t *testing.T) {
 // TestRunContextDeadline: a deadline behaves like cancellation with
 // context.DeadlineExceeded.
 func TestRunContextDeadline(t *testing.T) {
-	m, err := ftsim.New(ftsim.SS1(), ftsim.WithMaxInsts(0), ftsim.WithMaxCycles(0))
+	m, err := ftsim.NewFromConfig(ftsim.ModelSS1.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,15 +116,14 @@ func TestRunContextDeadline(t *testing.T) {
 // monotonic and end with exactly one Final sample.
 func TestObserverDoesNotPerturb(t *testing.T) {
 	build := func(obs ftsim.Observer) *ftsim.Machine {
-		opts := []ftsim.Option{ftsim.SS2(),
-			ftsim.WithFaultRate(1e-4),
-			ftsim.WithFaultSeed(9),
-			ftsim.WithMaxInsts(20_000),
-			ftsim.WithMaxCycles(2_000_000)}
+		cfg := ftsim.ModelSS2.Config()
+		cfg.Fault = ftsim.FaultConfig{Rate: 1e-4, Seed: 9}
+		cfg.MaxInsts, cfg.MaxCycles = 20_000, 2_000_000
+		var opts []ftsim.Option
 		if obs != nil {
 			opts = append(opts, ftsim.WithObserver(obs), ftsim.WithObserveEvery(1000))
 		}
-		m, err := ftsim.New(opts...)
+		m, err := ftsim.NewFromConfig(cfg, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,12 +186,10 @@ func TestObserverDoesNotPerturb(t *testing.T) {
 // pattern a service would use — must race cleanly (run under -race) and
 // produce identical results on every goroutine.
 func TestConcurrentSessions(t *testing.T) {
-	m, err := ftsim.New(ftsim.SS2(),
-		ftsim.WithFaultRate(2e-4),
-		ftsim.WithFaultSeed(5),
-		ftsim.WithFaultTargets(ftsim.AllFaultTargets()...),
-		ftsim.WithMaxInsts(5_000),
-		ftsim.WithMaxCycles(500_000))
+	cfg := ftsim.ModelSS2.Config()
+	cfg.Fault = ftsim.FaultConfig{Rate: 2e-4, Seed: 5, Targets: ftsim.AllFaultTargets()}
+	cfg.MaxInsts, cfg.MaxCycles = 5_000, 500_000
+	m, err := ftsim.NewFromConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +222,9 @@ func TestConcurrentSessions(t *testing.T) {
 
 // TestSessionSingleUse: a session cannot be run twice.
 func TestSessionSingleUse(t *testing.T) {
-	m, err := ftsim.New(ftsim.SS1(), ftsim.WithMaxInsts(1_000))
+	cfg := ftsim.ModelSS1.Config()
+	cfg.MaxInsts = 1_000
+	m, err := ftsim.NewFromConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,13 +247,10 @@ func TestSessionSingleUse(t *testing.T) {
 // TestStrictOracle: under WithStrictOracle an unprotected machine
 // bombarded with faults aborts with the typed oracle-mismatch error.
 func TestStrictOracle(t *testing.T) {
-	m, err := ftsim.New(ftsim.SS1(),
-		ftsim.WithFaultRate(1e-2),
-		ftsim.WithFaultSeed(3),
-		ftsim.WithFaultTargets(ftsim.AllFaultTargets()...),
-		ftsim.WithStrictOracle(),
-		ftsim.WithMaxInsts(50_000),
-		ftsim.WithMaxCycles(50_000_000))
+	cfg := ftsim.ModelSS1.Config()
+	cfg.Fault = ftsim.FaultConfig{Rate: 1e-2, Seed: 3, Targets: ftsim.AllFaultTargets()}
+	cfg.MaxInsts, cfg.MaxCycles = 50_000, 50_000_000
+	m, err := ftsim.NewFromConfig(cfg, ftsim.WithStrictOracle())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,12 +278,10 @@ func TestStrictOracle(t *testing.T) {
 
 	// The protected design under the same storm detects instead of
 	// escaping: strict mode stays silent and the audit passes.
-	m2, err := ftsim.New(ftsim.SS2(),
-		ftsim.WithFaultRate(1e-3),
-		ftsim.WithFaultSeed(3),
-		ftsim.WithStrictOracle(),
-		ftsim.WithMaxInsts(20_000),
-		ftsim.WithMaxCycles(50_000_000))
+	cfg2 := ftsim.ModelSS2.Config()
+	cfg2.Fault = ftsim.FaultConfig{Rate: 1e-3, Seed: 3}
+	cfg2.MaxInsts, cfg2.MaxCycles = 20_000, 50_000_000
+	m2, err := ftsim.NewFromConfig(cfg2, ftsim.WithStrictOracle())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,11 +302,11 @@ func TestUnknownNames(t *testing.T) {
 	if _, err := ftsim.Benchmark("nope"); !errors.Is(err, ftsim.ErrUnknownBenchmark) {
 		t.Errorf("Benchmark(nope) = %v, want ErrUnknownBenchmark", err)
 	}
-	_, err := ftsim.New(ftsim.WithModel("ss99"))
+	_, err := ftsim.NewFromConfig(ftsim.Model("ss99").Config())
 	if !errors.Is(err, ftsim.ErrUnknownModel) {
-		t.Errorf("New(ss99) = %v, want ErrUnknownModel", err)
+		t.Errorf("NewFromConfig(ss99) = %v, want ErrUnknownModel", err)
 	}
 	if !errors.Is(err, ftsim.ErrInvalidConfig) {
-		t.Errorf("New(ss99) = %v, want ErrInvalidConfig too", err)
+		t.Errorf("NewFromConfig(ss99) = %v, want ErrInvalidConfig too", err)
 	}
 }

@@ -4,87 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 )
-
-// TestWorkspaceZeroValue: the zero Workspace is usable and Set/Value
-// round-trip with typed keys.
-func TestWorkspaceZeroValue(t *testing.T) {
-	var ws Workspace
-	type keyA struct{}
-	type keyB struct{}
-	if ws.Value(keyA{}) != nil {
-		t.Error("empty workspace returned a value")
-	}
-	ws.Set(keyA{}, 1)
-	ws.Set(keyB{}, "two")
-	ws.Set(keyA{}, 3) // overwrite
-	if got := ws.Value(keyA{}); got != 3 {
-		t.Errorf("Value(keyA) = %v, want 3", got)
-	}
-	if got := ws.Value(keyB{}); got != "two" {
-		t.Errorf("Value(keyB) = %v, want two", got)
-	}
-}
-
-// TestWorkspacePerWorker: every worker goroutine owns exactly one
-// workspace for the whole campaign — the property that makes lock-free
-// machine pools in Run safe.
-func TestWorkspacePerWorker(t *testing.T) {
-	const trials = 64
-	const workers = 4
-	var mu sync.Mutex
-	seen := map[*Workspace]int{} // workspace -> trials it served
-
-	specTrials := make([]Trial, trials)
-	for i := range specTrials {
-		specTrials[i] = Trial{
-			Label: fmt.Sprintf("t%d", i),
-			Run: func(ctx context.Context, ws *Workspace, seed int64) (any, error) {
-				if ws == nil {
-					return nil, errors.New("nil workspace")
-				}
-				// Per-worker trial counter kept in the workspace itself.
-				type countKey struct{}
-				n, _ := ws.Value(countKey{}).(int)
-				ws.Set(countKey{}, n+1)
-				mu.Lock()
-				seen[ws]++
-				mu.Unlock()
-				return n, nil
-			},
-		}
-	}
-	rep, err := Runner{Workers: workers}.Run(context.Background(), Spec{Name: "ws", Trials: specTrials})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) > workers {
-		t.Errorf("%d distinct workspaces for %d workers", len(seen), workers)
-	}
-	total := 0
-	for _, n := range seen {
-		total += n
-	}
-	if total != trials {
-		t.Errorf("workspaces served %d trials, want %d", total, trials)
-	}
-	// The workspace counter each trial observed must agree with the
-	// per-workspace totals: trial i on a workspace sees counts 0..n-1.
-	perWS := map[int]int{}
-	for _, res := range rep.Results {
-		perWS[res.Value.(int)]++
-	}
-	for _, n := range seen {
-		for c := 0; c < n; c++ {
-			if perWS[c] == 0 {
-				t.Fatalf("workspace counter sequence has a hole at %d", c)
-			}
-			perWS[c]--
-		}
-	}
-}
 
 // TestBatchingDeterminism: results — values, seeds, labels, order — are
 // identical across every batch size and worker count, because seeds
@@ -97,7 +18,7 @@ func TestBatchingDeterminism(t *testing.T) {
 			idx := i
 			ts[i] = Trial{
 				Label: fmt.Sprintf("t%d", idx),
-				Run: func(ctx context.Context, ws *Workspace, seed int64) (any, error) {
+				Run: func(ctx context.Context, seed int64) (any, error) {
 					return fmt.Sprintf("%d:%d", idx, seed), nil
 				},
 			}
@@ -156,7 +77,7 @@ func TestBatchedCancellation(t *testing.T) {
 	ran := 0
 	ts := make([]Trial, trials)
 	for i := range ts {
-		ts[i] = Trial{Run: func(c context.Context, ws *Workspace, seed int64) (any, error) {
+		ts[i] = Trial{Run: func(c context.Context, seed int64) (any, error) {
 			ran++
 			if ran == 3 {
 				cancel()

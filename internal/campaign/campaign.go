@@ -38,42 +38,11 @@ type Trial struct {
 	// fires when the campaign is cancelled or a sibling trial fails;
 	// long-running trials should plumb it into their simulation so an
 	// abort stops in-flight work promptly, not just future dispatch.
-	// The Workspace is the executing worker's: a trial can keep
-	// reusable state there (pooled simulator machines, scratch
-	// buffers) that survives across all the trials that worker
-	// executes. Because results must not depend on which worker ran a
-	// trial, anything a trial stores in the workspace must be
-	// behaviourally identical to a fresh instance — caches of
-	// immutable data and poolable machines qualify; accumulated
-	// statistics do not. The seed argument is the trial's derived RNG
-	// seed (TrialSeed of the campaign seed and the trial index); trials
-	// that inject faults must seed their injectors from it so the
-	// campaign stays deterministic under any worker count.
-	Run func(ctx context.Context, ws *Workspace, seed int64) (any, error)
-}
-
-// Workspace is per-worker storage handed to Trial.Run. One worker
-// goroutine owns one workspace for the lifetime of a campaign, so no
-// locking is needed; nothing stored in it is shared between workers.
-// The zero value is ready to use.
-type Workspace struct {
-	vals map[any]any
-}
-
-// Value returns the value stored under key, or nil.
-func (w *Workspace) Value(key any) any {
-	if w.vals == nil {
-		return nil
-	}
-	return w.vals[key]
-}
-
-// Set stores val under key, replacing any previous value.
-func (w *Workspace) Set(key, val any) {
-	if w.vals == nil {
-		w.vals = make(map[any]any)
-	}
-	w.vals[key] = val
+	// The seed argument is the trial's derived RNG seed (TrialSeed of
+	// the campaign seed and the trial index); trials that inject faults
+	// must seed their injectors from it so the campaign stays
+	// deterministic under any worker count.
+	Run func(ctx context.Context, seed int64) (any, error)
 }
 
 // Spec is a campaign: a named grid of trials and the master seed all
@@ -379,10 +348,6 @@ func (r Runner) Run(ctx context.Context, spec Spec) (*Report, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// The workspace lives as long as the worker: trials reuse
-			// pooled machines and scratch state across every trial this
-			// worker executes.
-			ws := &Workspace{}
 			for rng := range jobs {
 				for idx := rng[0]; idx < rng[1]; idx++ {
 					if prefilled != nil && prefilled[idx] {
@@ -391,7 +356,7 @@ func (r Runner) Run(ctx context.Context, spec Spec) (*Report, error) {
 					t := spec.Trials[idx]
 					res := Result{Index: idx, Label: t.Label, Seed: spec.trialSeed(idx)}
 					t0 := time.Now()
-					res.Value, res.Attempts, res.Err = r.runTrial(ctx, t, ws, res.Seed)
+					res.Value, res.Attempts, res.Err = r.runTrial(ctx, t, res.Seed)
 					res.Elapsed = time.Since(t0)
 					rep.Results[idx] = res
 					if res.Err != nil && !r.Contain {

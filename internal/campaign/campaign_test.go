@@ -38,7 +38,7 @@ func testSpec(n int) Spec {
 		i := i
 		trials[i] = Trial{
 			Label: fmt.Sprintf("trial-%d", i),
-			Run: func(_ context.Context, _ *Workspace, seed int64) (any, error) {
+			Run: func(_ context.Context, seed int64) (any, error) {
 				time.Sleep(time.Duration((i*7)%5) * time.Millisecond)
 				return seed ^ int64(i), nil
 			},
@@ -142,8 +142,8 @@ func TestRunnerErrorIsLowestIndex(t *testing.T) {
 	spec := testSpec(16)
 	// Two failures; the reported one must be the lower index no matter
 	// which completes first.
-	spec.Trials[3].Run = func(context.Context, *Workspace, int64) (any, error) { return nil, boom }
-	spec.Trials[9].Run = func(context.Context, *Workspace, int64) (any, error) { return nil, boom }
+	spec.Trials[3].Run = func(context.Context, int64) (any, error) { return nil, boom }
+	spec.Trials[9].Run = func(context.Context, int64) (any, error) { return nil, boom }
 	for _, w := range []int{1, 8} {
 		_, err := Runner{Workers: w}.Run(context.Background(), spec)
 		if !errors.Is(err, boom) {
@@ -186,7 +186,7 @@ func TestCancelReachesInFlightTrials(t *testing.T) {
 	started := make(chan struct{})
 	spec := Spec{Name: "cancel", Trials: []Trial{{
 		Label: "blocker",
-		Run: func(ctx context.Context, _ *Workspace, _ int64) (any, error) {
+		Run: func(ctx context.Context, _ int64) (any, error) {
 			close(started)
 			<-ctx.Done() // a well-behaved long trial honours its context
 			return nil, ctx.Err()
@@ -218,12 +218,12 @@ func TestTrialFailureNotMaskedByCancellation(t *testing.T) {
 	boom := errors.New("boom")
 	blocked := make(chan struct{})
 	spec := Spec{Name: "mask", Trials: []Trial{
-		{Label: "innocent", Run: func(ctx context.Context, _ *Workspace, _ int64) (any, error) {
+		{Label: "innocent", Run: func(ctx context.Context, _ int64) (any, error) {
 			close(blocked)
 			<-ctx.Done() // interrupted by the sibling's failure
 			return nil, ctx.Err()
 		}},
-		{Label: "guilty", Run: func(context.Context, *Workspace, int64) (any, error) {
+		{Label: "guilty", Run: func(context.Context, int64) (any, error) {
 			<-blocked // fail only once the innocent trial is in flight
 			return nil, boom
 		}},
@@ -239,7 +239,7 @@ func TestTrialFailureNotMaskedByCancellation(t *testing.T) {
 
 func TestCollectTypeMismatch(t *testing.T) {
 	rep, err := Runner{Workers: 1}.Run(context.Background(), Spec{Trials: []Trial{
-		{Label: "s", Run: func(context.Context, *Workspace, int64) (any, error) { return "str", nil }},
+		{Label: "s", Run: func(context.Context, int64) (any, error) { return "str", nil }},
 	}})
 	if err != nil {
 		t.Fatal(err)

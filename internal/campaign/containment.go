@@ -13,11 +13,11 @@ import (
 // per-trial deadline, and retryable failures (ErrTransient,
 // ErrTrialTimeout) are re-attempted up to Retries times with capped
 // doubling backoff. attempts reports how many attempts actually ran.
-func (r Runner) runTrial(ctx context.Context, t Trial, ws *Workspace, seed int64) (v any, attempts int, err error) {
+func (r Runner) runTrial(ctx context.Context, t Trial, seed int64) (v any, attempts int, err error) {
 	wait := backoff.New(r.RetryBackoff, 50*time.Millisecond)
 	for {
 		attempts++
-		v, err = r.attempt(ctx, t, ws, seed)
+		v, err = r.attempt(ctx, t, seed)
 		if err == nil || attempts > r.Retries || !retryable(err) || ctx.Err() != nil {
 			return v, attempts, err
 		}
@@ -35,7 +35,7 @@ func (r Runner) runTrial(ctx context.Context, t Trial, ws *Workspace, seed int64
 // per-trial failure — except when the campaign context itself is
 // done, in which case the cancellation is passed through untouched so
 // an aborted campaign is not misread as a grid full of timeouts.
-func (r Runner) attempt(ctx context.Context, t Trial, ws *Workspace, seed int64) (v any, err error) {
+func (r Runner) attempt(ctx context.Context, t Trial, seed int64) (v any, err error) {
 	actx := ctx
 	if r.TrialTimeout > 0 {
 		var cancel context.CancelFunc
@@ -47,7 +47,7 @@ func (r Runner) attempt(ctx context.Context, t Trial, ws *Workspace, seed int64)
 			err = &TrialPanicError{Value: p, Stack: string(debug.Stack())}
 		}
 	}()
-	v, err = t.Run(actx, ws, seed)
+	v, err = t.Run(actx, seed)
 	if err != nil && r.TrialTimeout > 0 && isCancellation(err) &&
 		actx.Err() != nil && ctx.Err() == nil {
 		err = &TrialTimeoutError{Timeout: r.TrialTimeout}

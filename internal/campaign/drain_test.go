@@ -50,7 +50,7 @@ func TestCheckpointSyncsOnCancelDrain(t *testing.T) {
 		i := i
 		trials[i] = Trial{
 			Label: "t",
-			Run: func(ctx context.Context, _ *Workspace, seed int64) (any, error) {
+			Run: func(ctx context.Context, seed int64) (any, error) {
 				if i == quick {
 					// The slow in-flight trial: signals that the quick
 					// trials are all journaled (one worker, batch 1 —

@@ -40,7 +40,7 @@ func squareSpec(n int, fail func(i int) error) Spec {
 		i := i
 		trials[i] = Trial{
 			Label: fmt.Sprintf("sq/%d", i),
-			Run: func(ctx context.Context, _ *Workspace, seed int64) (any, error) {
+			Run: func(ctx context.Context, seed int64) (any, error) {
 				if fail != nil {
 					if err := fail(i); err != nil {
 						return nil, err
@@ -67,7 +67,7 @@ func collectInts(t *testing.T, rep *Report) []int {
 
 func TestContainPanickingTrial(t *testing.T) {
 	spec := squareSpec(8, nil)
-	spec.Trials[3].Run = func(ctx context.Context, _ *Workspace, seed int64) (any, error) {
+	spec.Trials[3].Run = func(ctx context.Context, seed int64) (any, error) {
 		panic("boom at trial 3")
 	}
 	rep, err := Runner{Workers: 2, Contain: true}.Run(context.Background(), spec)
@@ -130,7 +130,7 @@ func TestFailFastStopsDispatch(t *testing.T) {
 
 func TestPanicContainedEvenWithoutContain(t *testing.T) {
 	spec := squareSpec(4, nil)
-	spec.Trials[0].Run = func(ctx context.Context, _ *Workspace, seed int64) (any, error) { panic("kaboom") }
+	spec.Trials[0].Run = func(ctx context.Context, seed int64) (any, error) { panic("kaboom") }
 	// Without Contain the campaign fails fast, but the panic must still
 	// be converted to an error instead of crashing the worker pool.
 	_, err := Runner{Workers: 2}.Run(context.Background(), spec)
@@ -141,7 +141,7 @@ func TestPanicContainedEvenWithoutContain(t *testing.T) {
 
 func TestTrialTimeout(t *testing.T) {
 	spec := squareSpec(4, nil)
-	spec.Trials[2].Run = func(ctx context.Context, _ *Workspace, seed int64) (any, error) {
+	spec.Trials[2].Run = func(ctx context.Context, seed int64) (any, error) {
 		<-ctx.Done() // a wedged-but-cooperative trial
 		return nil, ctx.Err()
 	}
@@ -164,7 +164,7 @@ func TestTrialTimeout(t *testing.T) {
 func TestParentCancellationIsNotATimeout(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	spec := squareSpec(2, nil)
-	spec.Trials[0].Run = func(ctx context.Context, _ *Workspace, seed int64) (any, error) {
+	spec.Trials[0].Run = func(ctx context.Context, seed int64) (any, error) {
 		cancel() // the campaign is aborted while this trial runs
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -283,9 +283,9 @@ func TestCheckpointResumeSkipsCompletedTrials(t *testing.T) {
 	for i := range resumeSpec.Trials {
 		i := i
 		inner := resumeSpec.Trials[i].Run
-		resumeSpec.Trials[i].Run = func(ctx context.Context, ws *Workspace, seed int64) (any, error) {
+		resumeSpec.Trials[i].Run = func(ctx context.Context, seed int64) (any, error) {
 			executed[i] = true
-			return inner(ctx, ws, seed)
+			return inner(ctx, seed)
 		}
 	}
 	rep2, err := Runner{Workers: 1, Checkpoint: ck}.Run(context.Background(), resumeSpec)

@@ -34,14 +34,14 @@ func TestMetricsClassifyOutcomes(t *testing.T) {
 		Name: "outcomes",
 		Seed: 3,
 		Trials: []Trial{
-			{Label: "ok", Run: func(ctx context.Context, _ *Workspace, seed int64) (any, error) { return 1, nil }},
-			{Label: "fail", Run: func(ctx context.Context, _ *Workspace, seed int64) (any, error) { return nil, boom }},
-			{Label: "panic", Run: func(ctx context.Context, _ *Workspace, seed int64) (any, error) { panic("eek") }},
-			{Label: "slow", Run: func(ctx context.Context, _ *Workspace, seed int64) (any, error) {
+			{Label: "ok", Run: func(ctx context.Context, seed int64) (any, error) { return 1, nil }},
+			{Label: "fail", Run: func(ctx context.Context, seed int64) (any, error) { return nil, boom }},
+			{Label: "panic", Run: func(ctx context.Context, seed int64) (any, error) { panic("eek") }},
+			{Label: "slow", Run: func(ctx context.Context, seed int64) (any, error) {
 				<-ctx.Done() // only the per-trial deadline ends this
 				return nil, ctx.Err()
 			}},
-			{Label: "flaky", Run: func(ctx context.Context, _ *Workspace, seed int64) (any, error) {
+			{Label: "flaky", Run: func(ctx context.Context, seed int64) (any, error) {
 				return nil, fmt.Errorf("wobbly: %w", ErrTransient)
 			}},
 		},
@@ -87,7 +87,7 @@ func TestMetricsCheckpointAndResume(t *testing.T) {
 			i := i
 			trials = append(trials, Trial{
 				Label: fmt.Sprintf("t%d", i),
-				Run:   func(ctx context.Context, _ *Workspace, seed int64) (any, error) { return i, nil },
+				Run:   func(ctx context.Context, seed int64) (any, error) { return i, nil },
 			})
 		}
 		return Spec{Name: "ckpt", Seed: 9, Trials: trials}
@@ -148,7 +148,7 @@ func TestMetricsArePureTap(t *testing.T) {
 		for i := 0; i < 12; i++ {
 			trials = append(trials, Trial{
 				Label: fmt.Sprintf("t%d", i),
-				Run: func(ctx context.Context, _ *Workspace, seed int64) (any, error) {
+				Run: func(ctx context.Context, seed int64) (any, error) {
 					return seed % 1000, nil
 				},
 			})

@@ -297,7 +297,7 @@ func metricValue(t *testing.T, reg *obs.Registry, name string) float64 {
 // for a while — the kill test needs time to strike.
 func slowGrid(trials int) []api.TrialSpec {
 	asm := `
-        li   r4, 250
+        li   r4, 50
 outer:  li   r1, 900
         li   r2, 17
 loop:   add  r2, r2, r1
@@ -323,11 +323,11 @@ loop:   add  r2, r2, r1
 	return out
 }
 
-// TestKillWorkerMidGrid: with every shard mid-flight, the worker
-// serving the furthest-behind shard dies hard (all connections
-// severed, port closed). Its shard must be redispatched to a surviving
-// worker and the merged stats must still be byte-identical to the
-// single-daemon control — fault recovery without result drift.
+// TestKillWorkerMidGrid: a worker serving a mid-flight shard dies
+// hard (all connections severed, port closed). Its shard must be
+// redispatched to a surviving worker and the merged stats must still
+// be byte-identical to the single-daemon control — fault recovery
+// without result drift.
 func TestKillWorkerMidGrid(t *testing.T) {
 	grid := slowGrid(12)
 	req := func(shards int) *api.CampaignRequest {
@@ -337,7 +337,11 @@ func TestKillWorkerMidGrid(t *testing.T) {
 	_, controlTS := startServer(t, "control", server.Config{})
 	control := runToDone(t, &client.Client{BaseURL: controlTS.URL}, req(0))
 
-	cl := newCluster(t, 3, Config{})
+	// The probe deadline equals ProbeInterval. At the fixture's 100 ms,
+	// busy workers on a loaded host (the race detector, two CPUs) miss
+	// it and all look down, and the redispatch can pick the dead worker
+	// until it runs out of attempts. A second lets live workers answer.
+	cl := newCluster(t, 3, Config{ProbeInterval: time.Second})
 	ctx, cancel := context.WithTimeout(context.Background(), 240*time.Second)
 	defer cancel()
 	st, err := cl.client.Submit(ctx, req(3))
@@ -346,9 +350,10 @@ func TestKillWorkerMidGrid(t *testing.T) {
 	}
 
 	// killBusyWorker severs the first worker found with a running
-	// sub-job at least two trials from done — its shard is provably
-	// unfinished when the port goes dark. Killing immediately on the
-	// first hit keeps the stale-state window to one List round-trip.
+	// sub-job that has finished at least one trial and still has at
+	// least two outstanding — its shard is provably mid-flight when the
+	// port goes dark. Killing immediately on the first hit keeps the
+	// stale-state window to one List round-trip.
 	killBusyWorker := func() bool {
 		for i, ts := range cl.workers {
 			wc := &client.Client{BaseURL: ts.URL, AuthToken: clusterToken}
@@ -357,7 +362,7 @@ func TestKillWorkerMidGrid(t *testing.T) {
 				continue
 			}
 			for _, j := range jobs {
-				if j.State == api.StateRunning && j.Trials-j.Done >= 2 {
+				if j.State == api.StateRunning && j.Done >= 1 && j.Trials-j.Done >= 2 {
 					ts.CloseClientConnections()
 					ts.Close()
 					t.Logf("worker %d killed with %d trials outstanding", i, j.Trials-j.Done)
@@ -368,24 +373,36 @@ func TestKillWorkerMidGrid(t *testing.T) {
 		return false
 	}
 
-	// Watch the merged stream; once every shard has completed at least
-	// one trial (so all three workers are provably mid-shard), strike.
-	killed := false
-	shardsSeen := make(map[int]bool)
-	shardOf := func(trial int) int { return trial / 4 } // 12 trials, 3 shards
+	// Poll the workers themselves rather than waiting on the merged
+	// stream: relayed events can lag the workers by several trials on a
+	// loaded host, long enough to miss every shard's mid-flight window.
+	stop := make(chan struct{})
+	killedCh := make(chan bool, 1)
+	go func() {
+		tick := time.NewTicker(2 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			if killBusyWorker() {
+				killedCh <- true
+				return
+			}
+			select {
+			case <-stop:
+				killedCh <- false
+				return
+			case <-tick.C:
+			}
+		}
+	}()
 	var final *api.JobStatus
 	err = cl.client.Watch(ctx, st.ID, 0, func(ev api.Event) error {
-		switch ev.Type {
-		case api.EventTrial:
-			shardsSeen[shardOf(ev.Trial)] = true
-			if !killed && len(shardsSeen) == 3 {
-				killed = killBusyWorker()
-			}
-		case api.EventDone:
+		if ev.Type == api.EventDone {
 			final = ev.Status
 		}
 		return nil
 	})
+	close(stop)
+	killed := <-killedCh
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -340,9 +340,6 @@ type Fig6Row struct {
 // fpppp) on the R=2 rewind design and the R=3 majority design.
 func Fig6(bench string, opt Options) ([]Fig6Row, error) {
 	opt = opt.defaults()
-	if _, ok := workload.ByName(bench); !ok {
-		return nil, fmt.Errorf("fig6: unknown benchmark %q", bench)
-	}
 	ratesPerM := []float64{0, 1, 10, 100, 1000, 5000, 10_000, 20_000, 50_000, 100_000}
 	points := make([]simPoint, 0, 2*len(ratesPerM))
 	for _, rm := range ratesPerM {

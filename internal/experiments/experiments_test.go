@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"errors"
 	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -242,14 +244,32 @@ func TestAblations(t *testing.T) {
 		}
 	}
 
-	if _, err := AblateCoSchedule([]string{"nope"}, testOpt); err == nil {
-		t.Error("unknown benchmark accepted")
+	checkUnknownBenchmark(t, "ablate-cosched", func(opt Options) error {
+		_, err := AblateCoSchedule([]string{"nope"}, opt)
+		return err
+	})
+	checkUnknownBenchmark(t, "ablate-commit", func(opt Options) error {
+		_, err := AblateCommitWidth("nope", []int{8}, opt)
+		return err
+	})
+	checkUnknownBenchmark(t, "fig6", func(opt Options) error {
+		_, err := Fig6("nope", opt)
+		return err
+	})
+}
+
+// checkUnknownBenchmark asserts that run rejects the benchmark name
+// "nope" with ftsim.ErrUnknownBenchmark before it opens a checkpoint
+// journal.
+func checkUnknownBenchmark(t *testing.T, what string, run func(Options) error) {
+	t.Helper()
+	opt := testOpt
+	opt.CheckpointDir = t.TempDir()
+	if err := run(opt); !errors.Is(err, ftsim.ErrUnknownBenchmark) {
+		t.Errorf("%s: unknown benchmark gave %v, want ErrUnknownBenchmark", what, err)
 	}
-	if _, err := AblateCommitWidth("nope", []int{8}, testOpt); err == nil {
-		t.Error("unknown benchmark accepted")
-	}
-	if _, err := Fig6("nope", testOpt); err == nil {
-		t.Error("unknown benchmark accepted")
+	if ckpts, _ := filepath.Glob(filepath.Join(opt.CheckpointDir, "*.ckpt")); len(ckpts) > 0 {
+		t.Errorf("%s: unknown benchmark left journals %v", what, ckpts)
 	}
 }
 
@@ -300,7 +320,8 @@ func TestRecoveryGrainAblation(t *testing.T) {
 	if coarse.AvgPenalty < 1500 {
 		t.Errorf("coarse recovery cost %.1f cycles, expected ~2000", coarse.AvgPenalty)
 	}
-	if _, err := AblateRecoveryGrain("nope", 1000, []int{0}, Options{}); err == nil {
-		t.Error("unknown benchmark accepted")
-	}
+	checkUnknownBenchmark(t, "ablate-recovery", func(opt Options) error {
+		_, err := AblateRecoveryGrain("nope", 1000, []int{0}, opt)
+		return err
+	})
 }

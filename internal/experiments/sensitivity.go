@@ -153,10 +153,6 @@ func AblateCoSchedule(benches []string, opt Options) ([]CoSchedRow, error) {
 	opt = opt.defaults()
 	points := make([]simPoint, 0, 2*len(benches))
 	for _, name := range benches {
-		_, ok := workload.ByName(name)
-		if !ok {
-			return nil, fmt.Errorf("ablate-cosched: unknown benchmark %q", name)
-		}
 		cs := ftsim.ModelSS2.Config()
 		cs.CoSchedule = true
 		points = append(points,
@@ -201,10 +197,6 @@ type CommitWidthRow struct {
 // and SS-2.
 func AblateCommitWidth(bench string, widths []int, opt Options) ([]CommitWidthRow, error) {
 	opt = opt.defaults()
-	_, ok := workload.ByName(bench)
-	if !ok {
-		return nil, fmt.Errorf("ablate-commit: unknown benchmark %q", bench)
-	}
 	points := make([]simPoint, 0, 2*len(widths))
 	for _, wd := range widths {
 		c1 := ftsim.ModelSS1.Config()
@@ -254,10 +246,6 @@ type RecoveryGrainRow struct {
 // on SS-2 at a fixed fault rate.
 func AblateRecoveryGrain(bench string, faultsPerM float64, penalties []int, opt Options) ([]RecoveryGrainRow, error) {
 	opt = opt.defaults()
-	_, ok := workload.ByName(bench)
-	if !ok {
-		return nil, fmt.Errorf("ablate-recovery: unknown benchmark %q", bench)
-	}
 	points := make([]simPoint, 0, len(penalties))
 	for _, pen := range penalties {
 		cfg := ftsim.ModelSS2.Config()

@@ -19,8 +19,8 @@ type job struct {
 	owner      string
 	name       string
 	req        *api.CampaignRequest
-	trials     []ftsim.Trial
-	seedOffset int // parent-grid index of trials[0] (shard requests)
+	trials     []ftsim.Trial // compiled req.Trials; nil when recovered as terminal
+	seedOffset int           // parent-grid index of trials[0] (shard requests)
 	submitted  time.Time
 	hub        *sse.Hub
 
@@ -45,7 +45,7 @@ func (j *job) status() *api.JobStatus {
 		Name:       j.name,
 		State:      j.state,
 		Owner:      j.owner,
-		Trials:     len(j.trials),
+		Trials:     len(j.req.Trials),
 		Done:       j.done,
 		Failed:     j.failed,
 		Resumed:    j.resumed,

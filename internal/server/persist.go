@@ -157,13 +157,26 @@ func (s *Server) recover() error {
 	requeued := 0
 	for i := range envelopes {
 		env := &envelopes[i]
-		j, err := s.buildJob(env.Request, env.Owner)
+		rec, err := s.loadDone(env.ID)
 		if err != nil {
+			return err
+		}
+		var j *job
+		if rec != nil {
+			// Terminal: history only. The envelope holds the resolved
+			// request, so no programs are built for it.
+			j = &job{owner: env.Owner, req: env.Request, state: rec.State,
+				finished: rec.Finished, done: rec.Done, failed: rec.Failed,
+				resumed: rec.Resumed, errMsg: rec.Error, statsJSON: rec.Stats}
+			if rec.Started != nil {
+				j.started = *rec.Started
+			}
+		} else if j, err = s.buildJob(env.Request, env.Owner); err != nil {
 			// A job that validated at submission should rebuild; if it no
 			// longer does (e.g. a hand-edited envelope), surface it as a
 			// failed job rather than refusing to start the daemon.
 			s.logger.Warn("job rebuild failed", "job", env.ID, "err", err)
-			j = &job{owner: env.Owner, name: env.Name, req: env.Request, state: api.StateFailed,
+			j = &job{owner: env.Owner, req: env.Request, state: api.StateFailed,
 				errMsg: fmt.Sprintf("rebuild after restart: %v", err)}
 			j.finished = time.Now().UTC()
 		}
@@ -171,19 +184,6 @@ func (s *Server) recover() error {
 		j.name = env.Name
 		j.submitted = env.Submitted
 		j.hub = sse.NewHub(j.id, s.m.sse)
-
-		if rec, err := s.loadDone(env.ID); err != nil {
-			return err
-		} else if rec != nil {
-			j.state = rec.State
-			if rec.Started != nil {
-				j.started = *rec.Started
-			}
-			j.finished = rec.Finished
-			j.done, j.failed, j.resumed = rec.Done, rec.Failed, rec.Resumed
-			j.errMsg = rec.Error
-			j.statsJSON = rec.Stats
-		}
 
 		s.jobs[j.id] = j
 		s.order = append(s.order, j.id)

@@ -21,8 +21,9 @@ import (
 	"repro/ftsim/api"
 )
 
-// mediumTrial runs long enough (hundreds of milliseconds) that a
-// multi-trial campaign can be interrupted mid-grid.
+// mediumTrial runs long enough (tens of milliseconds, about a second
+// under the race detector) that a multi-trial campaign can be
+// interrupted mid-grid.
 func mediumTrial(label string) api.TrialSpec {
 	cfg := ftsim.ModelSS2.Config()
 	cfg.MaxInsts = 2_000_000
@@ -30,7 +31,7 @@ func mediumTrial(label string) api.TrialSpec {
 	return api.TrialSpec{
 		Label: label,
 		Asm: `
-        li   r1, 60000
+        li   r1, 15000
         li   r2, 11
 loop:   add  r2, r2, r1
         xor  r3, r3, r2
