@@ -75,10 +75,21 @@ func TestParseSubmissionRejects(t *testing.T) {
 			t.Errorf("%s: accepted %s", name, body)
 		}
 	}
-	// Bare-config validation errors keep the ftsim taxonomy.
-	_, err := ParseSubmission([]byte(`{"r": -4}`))
-	if !errors.Is(err, ftsim.ErrInvalidConfig) {
-		t.Errorf("bare invalid config: got %v, want ErrInvalidConfig", err)
+	// Bare-config validation errors keep the ftsim taxonomy, and so
+	// do enum names outside their sets.
+	for _, body := range []string{
+		`{"r": -4}`,
+		`{"r": 2, "fault": {"rate": 0.001, "targets": ["cosmic"]}}`,
+		`{"r": 2, "persistent": {"pool": "gpu", "unit": 0, "bit": 3}}`,
+		`{"r": 2, "persistent": {"pool": "none", "unit": 0, "bit": 3}}`,
+	} {
+		if _, err := ParseSubmission([]byte(body)); !errors.Is(err, ftsim.ErrInvalidConfig) {
+			t.Errorf("bare config %s: got %v, want ErrInvalidConfig", body, err)
+		}
+	}
+	// Inside a trial grid the same names fail the whole submission.
+	if _, err := ParseSubmission([]byte(`{"trials": [{"config": {"r": 2, "fault": {"rate": 0.001, "targets": ["cosmic"]}}}]}`)); err == nil {
+		t.Error("grid with an unknown fault target accepted")
 	}
 }
 

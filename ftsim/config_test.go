@@ -86,6 +86,20 @@ func TestParseConfigRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestParseConfigRejectsUnknownNames: enum values travel by name, and a
+// name outside the set fails the parse as a configuration error.
+func TestParseConfigRejectsUnknownNames(t *testing.T) {
+	for name, body := range map[string]string{
+		"fault target": `{"r": 2, "fault": {"rate": 0.001, "targets": ["result", "cosmic"]}}`,
+		"unit pool":    `{"r": 2, "persistent": {"pool": "gpu", "unit": 0, "bit": 3}}`,
+		"no unit pool": `{"r": 2, "persistent": {"pool": "none", "unit": 0, "bit": 3}}`,
+	} {
+		if _, err := ftsim.ParseConfig([]byte(body)); !errors.Is(err, ftsim.ErrInvalidConfig) {
+			t.Errorf("%s: ParseConfig = %v, want ErrInvalidConfig", name, err)
+		}
+	}
+}
+
 // TestValidationErrors covers the required failure cases: R < 1, zero
 // widths, bad fault rates — plus the model/threshold/geometry checks.
 func TestValidationErrors(t *testing.T) {
@@ -107,14 +121,15 @@ func TestValidationErrors(t *testing.T) {
 		{"no int ALU", func(c *ftsim.Config) { c.Pipeline.IntALU = 0 }, "pipeline", false},
 		{"fault rate negative", func(c *ftsim.Config) { c.Fault.Rate = -0.5 }, "fault.rate", false},
 		{"fault rate above one", func(c *ftsim.Config) { c.Fault.Rate = 1.5 }, "fault.rate", false},
-		{"bad fault target", func(c *ftsim.Config) { c.Fault.Targets = []ftsim.FaultTarget{"cosmic"} }, "fault.targets", false},
+		{"bad fault target", func(c *ftsim.Config) { c.Fault.Targets = []ftsim.FaultTarget{99} }, "fault.targets", false},
 		{"majority needs R3", func(c *ftsim.Config) { c.R = 2; c.Majority = true }, "majority", false},
 		{"threshold above R", func(c *ftsim.Config) { c.MajorityThreshold = 9 }, "majority_threshold", false},
 		{"commit narrower than R", func(c *ftsim.Config) { c.R = 3; c.Pipeline.CommitWidth = 2 }, "pipeline", false},
 		{"fetch queue under width", func(c *ftsim.Config) { c.Pipeline.FetchQueue = 1 }, "pipeline.fetch_queue", false},
 		{"bad cache geometry", func(c *ftsim.Config) { c.Memory.DL1.Ways = 7 }, "memory.dl1", false},
 		{"bad predictor kind", func(c *ftsim.Config) { c.BranchPred.Kind = "psychic" }, "branch_pred.kind", false},
-		{"bad persistent pool", func(c *ftsim.Config) { c.Persistent = &ftsim.PersistentFault{Pool: "gpu"} }, "persistent.pool", false},
+		{"bad persistent pool", func(c *ftsim.Config) { c.Persistent = &ftsim.PersistentFault{Pool: 99} }, "persistent.pool", false},
+		{"no persistent pool", func(c *ftsim.Config) { c.Persistent = &ftsim.PersistentFault{Bit: 3} }, "persistent.pool", false},
 		{"unknown model", func(c *ftsim.Config) { c.Model = "ss9" }, "model", false},
 	}
 	for _, tc := range cases {
@@ -167,21 +182,21 @@ func TestValidationJoinsAllProblems(t *testing.T) {
 func TestConfigCloneIsolation(t *testing.T) {
 	cfg := ftsim.ModelSS2.Config()
 	cfg.Fault = ftsim.FaultConfig{Rate: 0.001, Targets: ftsim.AllFaultTargets()}
-	cfg.Persistent = &ftsim.PersistentFault{Pool: "int-alu", Unit: 0, Bit: 5}
+	cfg.Persistent = &ftsim.PersistentFault{Pool: ftsim.PoolIntALU, Unit: 0, Bit: 5}
 	m, err := ftsim.NewFromConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	aliased := func(c ftsim.Config) bool {
-		return c.Fault.Targets[0] == "cosmic" || c.Persistent.Bit == 63
+		return c.Fault.Targets[0] == ftsim.FaultBranch || c.Persistent.Bit == 63
 	}
-	cfg.Fault.Targets[0] = "cosmic"
+	cfg.Fault.Targets[0] = ftsim.FaultBranch
 	cfg.Persistent.Bit = 63
 	if aliased(m.Config()) {
 		t.Error("NewFromConfig aliases its argument")
 	}
 	got := m.Config()
-	got.Fault.Targets[0] = "cosmic"
+	got.Fault.Targets[0] = ftsim.FaultBranch
 	got.Persistent.Bit = 63
 	if aliased(m.Config()) {
 		t.Error("Machine.Config aliases internal state")

@@ -21,9 +21,13 @@
 // WithObserver, WithObserveEvery, WithTraceBuffer and WithStrictOracle
 // — are the Options NewFromConfig takes after the Config.
 //
-// A Config round-trips through JSON (Config.JSON / ParseConfig) with
-// validation and Table 1 defaults, so campaigns and services can
-// persist and replay exact machine descriptions.
+// Config is the simulator's own machine description, re-exported with
+// its section types (PipelineConfig, MemoryConfig, FaultConfig, ...):
+// what a caller edits is exactly what the datapath runs. It
+// round-trips through JSON (Config.JSON / ParseConfig) with validation
+// and Table 1 defaults, enums travelling by name ("resident",
+// "int-alu"), so campaigns and services can persist and replay exact
+// machine descriptions.
 //
 // # Running
 //
@@ -50,8 +54,8 @@
 // ErrFaultEscape (post-run audit via CheckEscapes). Cancellation
 // surfaces as the context's own error.
 //
-// The facade lowers a Config straight to the datapath's configuration
-// and returns the datapath's own statistics, without translation. A
-// golden file pins the results of every preset on every Table 2
-// workload.
+// Config is the datapath's own configuration and Stats its own
+// statistics, re-exported: nothing translates between the facade and
+// the simulator. A golden file pins the results of every preset on
+// every Table 2 workload.
 package ftsim

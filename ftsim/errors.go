@@ -14,11 +14,11 @@ var (
 	// ErrInvalidConfig is the root of all configuration validation
 	// failures; the concrete errors are *ConfigError values naming the
 	// offending field.
-	ErrInvalidConfig = errors.New("ftsim: invalid configuration")
+	ErrInvalidConfig = cpu.ErrInvalidConfig
 
 	// ErrUnknownModel reports a Model label that names none of the
 	// paper's machine designs.
-	ErrUnknownModel = errors.New("ftsim: unknown machine model")
+	ErrUnknownModel = cpu.ErrUnknownModel
 
 	// ErrUnknownBenchmark reports a benchmark name outside the Table 2
 	// suite; Benchmarks lists the valid names.
@@ -46,28 +46,11 @@ var (
 // architectural effect disagreed. It unwraps to ErrOracleMismatch.
 type OracleError = cpu.OracleError
 
-// ConfigError is one configuration validation failure. Validate returns
-// an errors.Join of every failure it finds, each a *ConfigError.
-type ConfigError struct {
-	// Field is the offending field in JSON path form, e.g. "fault.rate".
-	Field string
-	// Reason says what is wrong with the value.
-	Reason string
-
-	// cause, when non-nil, is a more specific sentinel (e.g.
-	// ErrUnknownModel) surfaced through Unwrap.
-	cause error
-}
-
-func (e *ConfigError) Error() string {
-	return fmt.Sprintf("%v: %s: %s", ErrInvalidConfig, e.Field, e.Reason)
-}
-
-// Is makes errors.Is(err, ErrInvalidConfig) hold for every ConfigError.
-func (e *ConfigError) Is(target error) bool { return target == ErrInvalidConfig }
-
-// Unwrap exposes the more specific sentinel when there is one.
-func (e *ConfigError) Unwrap() error { return e.cause }
+// ConfigError is one configuration validation failure: Field names the
+// offending field in JSON path form ("fault.rate") and Reason says what
+// is wrong. Validate returns an errors.Join of every failure it finds,
+// each a *ConfigError satisfying errors.Is(err, ErrInvalidConfig).
+type ConfigError = cpu.ConfigError
 
 // EscapeError reports that a run committed corrupted state: the oracle
 // observed Escaped divergences. It unwraps to ErrFaultEscape.

@@ -37,6 +37,9 @@ func FuzzConfigRoundTrip(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"r":2,"fault":{"rate":0.001,"seed":7,"targets":["result","branch"]}}`))
 	f.Add([]byte(`{"model":"ss3","majority":true,"persistent":{"pool":"int-alu","unit":1,"bit":12}}`))
+	f.Add([]byte(`{"r":2,"fault":{"rate":0.001,"targets":["cosmic"]}}`))
+	f.Add([]byte(`{"r":2,"persistent":{"pool":"gpu","unit":0,"bit":3}}`))
+	f.Add([]byte(`{"r":2,"persistent":{"pool":"none","unit":0,"bit":3}}`))
 	f.Add([]byte(`{"r":1,"memory":{"il1":{"size_bytes":9007199254740993,"ways":3037000500,"line_bytes":3037000499,"hit_latency":1}}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -18,9 +18,9 @@ import (
 // below testdata/ rather than in it because every testdata/*.json is a
 // machine configuration.
 type statsGolden struct {
-	// Fingerprints maps each preset model to the cpu-layer
-	// configuration fingerprint its converted machine carries (the
-	// value a snapshot records and Restore compares).
+	// Fingerprints maps each preset model to the configuration
+	// fingerprint its machine carries (the value a snapshot records
+	// and Restore compares).
 	Fingerprints map[ftsim.Model]string `json:"fingerprints"`
 	// Stats maps "bench/model" and "bench/model/faults" to the SHA-256
 	// of the run's Stats JSON.
@@ -35,7 +35,7 @@ const (
 
 // machineFingerprint reads the configuration fingerprint from the
 // header of a snapshot of a freshly loaded session: it is the
-// fingerprint of the cpu.Config the machine was converted to.
+// fingerprint of the configuration the datapath actually runs.
 func machineFingerprint(t *testing.T, m *ftsim.Machine, p *ftsim.Program) string {
 	t.Helper()
 	s, err := m.Load(p)

@@ -2,7 +2,6 @@ package ftsim
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"repro/internal/cpu"
@@ -46,23 +45,18 @@ func (p *MachinePool) put(m *cpu.Machine) {
 // reset fully sanitises in-flight state. The returned Stats is a
 // snapshot owned by the caller, never aliased to pooled machine state.
 func (m *Machine) RunPooled(ctx context.Context, pool *MachinePool, p *Program) (*Stats, error) {
-	s, cfg, err := m.newSession()
-	if err != nil {
-		return nil, err
-	}
 	recycled := pool.get()
 	cm := recycled
 	if cm == nil {
 		cm = new(cpu.Machine) // Reset of the zero Machine is cpu.New
 	}
-	if err := cm.Reset(cfg, p.p); err != nil {
+	if err := cm.Reset(m.cfg, p.p); err != nil {
 		// Reset validates before mutating, so a recycled machine is
 		// still intact; keep it pooled.
 		pool.put(recycled)
-		return nil, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
+		return nil, err
 	}
-	s.cm = cm
-	st, err := s.Run(ctx)
+	st, err := m.newSession(cm).Run(ctx)
 	out := *st
 	pool.put(cm)
 	return &out, err

@@ -4,12 +4,10 @@ import (
 	"cmp"
 	"context"
 	"errors"
-	"fmt"
 	"io"
+	"slices"
 
-	"repro/internal/cache"
 	"repro/internal/cpu"
-	"repro/internal/fault"
 	"repro/internal/trace"
 )
 
@@ -52,7 +50,7 @@ type Machine struct {
 // configuration is normalized and validated; errors satisfy
 // errors.Is(err, ErrInvalidConfig).
 func NewFromConfig(cfg Config, opts ...Option) (*Machine, error) {
-	m := &Machine{cfg: cfg.clone()}
+	m := &Machine{cfg: clone(cfg)}
 	for _, o := range opts {
 		o(m)
 	}
@@ -65,12 +63,12 @@ func NewFromConfig(cfg Config, opts ...Option) (*Machine, error) {
 
 // Config returns a copy of the machine's normalized configuration,
 // ready to serialize with Config.JSON.
-func (m *Machine) Config() Config { return m.cfg.clone() }
+func (m *Machine) Config() Config { return clone(m.cfg) }
 
 // clone deep-copies the config's reference-typed fields so callers
 // cannot alias the machine's description.
-func (c Config) clone() Config {
-	c.Fault.Targets = append([]FaultTarget(nil), c.Fault.Targets...)
+func clone(c Config) Config {
+	c.Fault.Targets = slices.Clone(c.Fault.Targets)
 	if c.Persistent != nil {
 		p := *c.Persistent
 		c.Persistent = &p
@@ -78,71 +76,22 @@ func (c Config) clone() Config {
 	return c
 }
 
-// newSession lowers the machine description to the cpu layer's
-// configuration (the only place ftsim does so) and creates the Session
-// that will run it, installing the session's observer, tracer and
-// strict-oracle hooks.
-func (m *Machine) newSession() (*Session, cpu.Config, error) {
-	c, p := m.cfg, m.cfg.Pipeline
-	cfg := cpu.Config{
-		Name:            c.Name,
-		FetchWidth:      p.FetchWidth,
-		FetchQueue:      p.FetchQueue,
-		RedirectPenalty: p.RedirectPenalty,
-		RecoveryPenalty: c.RecoveryPenalty,
-		DispatchWidth:   p.DispatchWidth,
-		IssueWidth:      p.IssueWidth,
-		CommitWidth:     p.CommitWidth,
-		RUUSize:         p.RUUSize,
-		LSQSize:         p.LSQSize,
-		IntALU:          p.IntALU,
-		IntMult:         p.IntMult,
-		FPAdd:           p.FPAdd,
-		FPMult:          p.FPMult,
-		MemPorts:        p.MemPorts,
-		Hierarchy: cache.HierarchyConfig{
-			IL1:        c.Memory.IL1.toCache("il1"),
-			DL1:        c.Memory.DL1.toCache("dl1"),
-			L2:         c.Memory.L2.toCache("ul2"),
-			MemLatency: c.Memory.Latency,
-		},
-		Bpred:             c.BranchPred.toBpred(),
-		R:                 c.R,
-		CoSchedule:        c.CoSchedule,
-		Majority:          c.Majority,
-		MajorityThreshold: c.MajorityThreshold,
-		Fault:             fault.Config{Rate: c.Fault.Rate, Seed: c.Fault.Seed},
-		TransformOperands: c.TransformOperands,
-		Oracle:            c.Oracle,
-		StrictOracle:      m.strict,
-		MaxInsts:          c.MaxInsts,
-		MaxCycles:         c.MaxCycles,
-	}
-	for _, t := range c.Fault.Targets {
-		ft, err := t.target()
-		if err != nil {
-			return nil, cpu.Config{}, &ConfigError{Field: "fault.targets", Reason: err.Error()}
-		}
-		cfg.Fault.Targets = append(cfg.Fault.Targets, ft)
-	}
-	if c.Persistent != nil {
-		pool, err := poolByName(c.Persistent.Pool)
-		if err != nil {
-			return nil, cpu.Config{}, &ConfigError{Field: "persistent.pool", Reason: err.Error()}
-		}
-		cfg.Persistent = &fault.Persistent{Pool: pool, Unit: c.Persistent.Unit, Bit: c.Persistent.Bit}
-	}
-
-	s := &Session{name: c.Name, obs: m.obs}
+// newSession wraps a datapath machine built or reset for this
+// machine's configuration in a Session, installing the session's
+// observer, tracer and strict-oracle hooks on it.
+func (m *Machine) newSession(cm *cpu.Machine) *Session {
+	s := &Session{cm: cm, name: m.cfg.Name, obs: m.obs}
+	hooks := cpu.Hooks{StrictOracle: m.strict}
 	if m.obs != nil {
-		cfg.Observe = s.tap
-		cfg.ObserveEvery = cmp.Or(m.every, DefaultObserveEvery)
+		hooks.Observe = s.tap
+		hooks.ObserveEvery = cmp.Or(m.every, DefaultObserveEvery)
 	}
 	if m.traceCap > 0 {
 		s.trace = trace.NewBuffer(m.traceCap)
-		cfg.Tracer = s.trace
+		hooks.Tracer = s.trace
 	}
-	return s, cfg, nil
+	cm.SetHooks(hooks)
+	return s
 }
 
 // Load instantiates one simulation of the program on this machine: the
@@ -150,17 +99,11 @@ func (m *Machine) newSession() (*Session, cpu.Config, error) {
 // the config, and the session is ready to Run. Sessions are
 // independent; any number may run concurrently.
 func (m *Machine) Load(p *Program) (*Session, error) {
-	s, cfg, err := m.newSession()
+	cm, err := cpu.New(m.cfg, p.p)
 	if err != nil {
 		return nil, err
 	}
-	if s.cm, err = cpu.New(cfg, p.p); err != nil {
-		// The facade validates ahead of time, so reaching here means a
-		// constraint only the cpu layer checks; fold it into the same
-		// taxonomy.
-		return nil, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
-	}
-	return s, nil
+	return m.newSession(cm), nil
 }
 
 // Run is the one-shot convenience: Load the program and Run the session

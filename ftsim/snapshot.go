@@ -46,15 +46,11 @@ func (s *Session) Snapshot() []byte { return s.cm.Snapshot() }
 // the remainder of the workload, streaming observer samples relative
 // to the snapshot point.
 func (m *Machine) Restore(data []byte) (*Session, error) {
-	s, cfg, err := m.newSession()
-	if err != nil {
-		return nil, err
-	}
 	cm := new(cpu.Machine)
-	if err := cm.Restore(cfg, data); err != nil {
+	if err := cm.Restore(m.cfg, data); err != nil {
 		return nil, err
 	}
-	s.cm = cm
+	s := m.newSession(cm)
 	// Seed the observer's interval baseline from the restored counters
 	// so the first sample reports progress since the snapshot, not a
 	// bogus jump from zero.

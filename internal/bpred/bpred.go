@@ -32,18 +32,18 @@ const (
 // Config describes the predictor; the zero value of any field takes the
 // Table 1 default.
 type Config struct {
-	Kind Kind
+	Kind Kind `json:"kind,omitempty"` // comb|bimodal|twolevel|taken|nottaken
 
-	BimodalSize int // 2-bit counters (default 2048)
-	L1Size      int // history registers (default 2)
-	HistBits    int // history length (default 10)
-	L2Size      int // pattern counters (default 1024)
-	XOR         bool
-	MetaSize    int // tournament selector counters (default 2048)
+	BimodalSize int  `json:"bimodal_size,omitempty"` // 2-bit counters (default 2048)
+	L1Size      int  `json:"l1_size,omitempty"`      // history registers (default 2)
+	HistBits    int  `json:"hist_bits,omitempty"`    // history length (default 10)
+	L2Size      int  `json:"l2_size,omitempty"`      // pattern counters (default 1024)
+	XOR         bool `json:"xor,omitempty"`
+	MetaSize    int  `json:"meta_size,omitempty"` // tournament selector counters (default 2048)
 
-	BTBSets int // default 128
-	BTBWays int // default 4
-	RASSize int // default 8
+	BTBSets int `json:"btb_sets,omitempty"` // default 128
+	BTBWays int `json:"btb_ways,omitempty"` // default 4
+	RASSize int `json:"ras_size,omitempty"` // default 8
 }
 
 // Default returns the Table 1 predictor configuration.

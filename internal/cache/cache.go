@@ -12,21 +12,21 @@ package cache
 
 import "fmt"
 
-// Config describes one cache level.
+// Config is one cache level's geometry and hit latency.
 type Config struct {
-	Name       string
-	SizeBytes  int
-	Ways       int
-	LineBytes  int
-	HitLatency int
+	SizeBytes  int `json:"size_bytes"`
+	Ways       int `json:"ways"`
+	LineBytes  int `json:"line_bytes"`
+	HitLatency int `json:"hit_latency"`
 }
 
 // Sets returns the number of sets implied by the geometry.
 func (c Config) Sets() int { return c.SizeBytes / (c.Ways * c.LineBytes) }
 
+// String renders the geometry, e.g. "64KB 2-way 32B-line (1-cycle hit)".
 func (c Config) String() string {
-	return fmt.Sprintf("%s %dKB %d-way %dB-line (%d-cycle hit)",
-		c.Name, c.SizeBytes/1024, c.Ways, c.LineBytes, c.HitLatency)
+	return fmt.Sprintf("%dKB %d-way %dB-line (%d-cycle hit)",
+		c.SizeBytes/1024, c.Ways, c.LineBytes, c.HitLatency)
 }
 
 // Stats counts accesses for one cache level.
@@ -59,6 +59,7 @@ type line struct {
 // cost one allocation each per machine build — the second-largest
 // allocation source in the campaign hot path before the slab.
 type Cache struct {
+	name  string
 	cfg   Config
 	lines []line // nsets * Ways, set-major
 	nsets int
@@ -69,14 +70,14 @@ type Cache struct {
 	Stats Stats
 }
 
-// NewCache builds a cache; next is the level below (nil = main memory
-// with the given latency).
-func NewCache(cfg Config, next *Cache, memLatency int) *Cache {
+// NewCache builds a cache named name (for diagnostics); next is the
+// level below (nil = main memory with the given latency).
+func NewCache(name string, cfg Config, next *Cache, memLatency int) *Cache {
 	if cfg.Sets() <= 0 {
-		panic(fmt.Sprintf("cache %s: bad geometry %+v", cfg.Name, cfg))
+		panic(fmt.Sprintf("cache %s: bad geometry %+v", name, cfg))
 	}
 	nsets := cfg.Sets()
-	return &Cache{cfg: cfg, lines: make([]line, nsets*cfg.Ways), nsets: nsets, next: next, memLa: memLatency}
+	return &Cache{name: name, cfg: cfg, lines: make([]line, nsets*cfg.Ways), nsets: nsets, next: next, memLa: memLatency}
 }
 
 // set returns the ways of one set as a slice into the slab.
@@ -151,19 +152,22 @@ func (c *Cache) Reset() {
 	c.Stats = Stats{}
 }
 
-// HierarchyConfig describes the full Table 1 memory hierarchy.
+// HierarchyConfig is the Table 1 memory hierarchy: split L1s over a
+// unified L2 over flat-latency main memory.
 type HierarchyConfig struct {
-	IL1, DL1, L2 Config
-	MemLatency   int
+	IL1     Config `json:"il1"`
+	DL1     Config `json:"dl1"`
+	L2      Config `json:"l2"`
+	Latency int    `json:"latency"` // main-memory access cycles
 }
 
 // DefaultHierarchy returns the Table 1 configuration.
 func DefaultHierarchy() HierarchyConfig {
 	return HierarchyConfig{
-		IL1:        Config{Name: "il1", SizeBytes: 64 * 1024, Ways: 2, LineBytes: 32, HitLatency: 1},
-		DL1:        Config{Name: "dl1", SizeBytes: 32 * 1024, Ways: 2, LineBytes: 32, HitLatency: 1},
-		L2:         Config{Name: "ul2", SizeBytes: 512 * 1024, Ways: 4, LineBytes: 64, HitLatency: 6},
-		MemLatency: 40,
+		IL1:     Config{SizeBytes: 64 * 1024, Ways: 2, LineBytes: 32, HitLatency: 1},
+		DL1:     Config{SizeBytes: 32 * 1024, Ways: 2, LineBytes: 32, HitLatency: 1},
+		L2:      Config{SizeBytes: 512 * 1024, Ways: 4, LineBytes: 64, HitLatency: 6},
+		Latency: 40,
 	}
 }
 
@@ -174,10 +178,10 @@ type Hierarchy struct {
 
 // NewHierarchy builds the hierarchy from cfg.
 func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
-	l2 := NewCache(cfg.L2, nil, cfg.MemLatency)
+	l2 := NewCache("ul2", cfg.L2, nil, cfg.Latency)
 	return &Hierarchy{
-		IL1: NewCache(cfg.IL1, l2, 0),
-		DL1: NewCache(cfg.DL1, l2, 0),
+		IL1: NewCache("il1", cfg.IL1, l2, 0),
+		DL1: NewCache("dl1", cfg.DL1, l2, 0),
 		L2:  l2,
 	}
 }
@@ -189,7 +193,7 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 func Renew(h *Hierarchy, cfg HierarchyConfig) *Hierarchy {
 	if h == nil ||
 		h.IL1.cfg != cfg.IL1 || h.DL1.cfg != cfg.DL1 || h.L2.cfg != cfg.L2 ||
-		h.L2.memLa != cfg.MemLatency {
+		h.L2.memLa != cfg.Latency {
 		return NewHierarchy(cfg)
 	}
 	h.IL1.Reset()

@@ -4,7 +4,7 @@ import "testing"
 
 func smallCache(next *Cache, memLat int) *Cache {
 	// 4 sets x 2 ways x 16B lines = 128 bytes.
-	return NewCache(Config{Name: "t", SizeBytes: 128, Ways: 2, LineBytes: 16, HitLatency: 1}, next, memLat)
+	return NewCache("t", Config{SizeBytes: 128, Ways: 2, LineBytes: 16, HitLatency: 1}, next, memLat)
 }
 
 func TestMissThenHit(t *testing.T) {
@@ -47,7 +47,7 @@ func TestLRUReplacement(t *testing.T) {
 
 func TestDirtyWriteback(t *testing.T) {
 	l2 := smallCache(nil, 10)
-	l1 := NewCache(Config{Name: "l1", SizeBytes: 32, Ways: 1, LineBytes: 16, HitLatency: 1}, l2, 0)
+	l1 := NewCache("l1", Config{SizeBytes: 32, Ways: 1, LineBytes: 16, HitLatency: 1}, l2, 0)
 	// Write to a line, then conflict-evict it.
 	l1.Access(0x00, true)  // set 0, dirty
 	l1.Access(0x20, false) // set 0, evicts dirty line
@@ -63,10 +63,10 @@ func TestDirtyWriteback(t *testing.T) {
 
 func TestTwoLevelLatency(t *testing.T) {
 	h := NewHierarchy(HierarchyConfig{
-		IL1:        Config{Name: "il1", SizeBytes: 128, Ways: 2, LineBytes: 16, HitLatency: 1},
-		DL1:        Config{Name: "dl1", SizeBytes: 128, Ways: 2, LineBytes: 16, HitLatency: 1},
-		L2:         Config{Name: "l2", SizeBytes: 1024, Ways: 4, LineBytes: 32, HitLatency: 6},
-		MemLatency: 40,
+		IL1:     Config{SizeBytes: 128, Ways: 2, LineBytes: 16, HitLatency: 1},
+		DL1:     Config{SizeBytes: 128, Ways: 2, LineBytes: 16, HitLatency: 1},
+		L2:      Config{SizeBytes: 1024, Ways: 4, LineBytes: 32, HitLatency: 6},
+		Latency: 40,
 	})
 	// Cold: DL1 miss -> L2 miss -> memory.
 	if lat := h.DAccess(0x1000, false); lat != 1+6+40 {
@@ -130,12 +130,11 @@ func TestBadGeometryPanics(t *testing.T) {
 			t.Error("bad geometry did not panic")
 		}
 	}()
-	NewCache(Config{Name: "bad", SizeBytes: 8, Ways: 2, LineBytes: 16, HitLatency: 1}, nil, 10)
+	NewCache("bad", Config{SizeBytes: 8, Ways: 2, LineBytes: 16, HitLatency: 1}, nil, 10)
 }
 
 func TestConfigString(t *testing.T) {
-	s := DefaultHierarchy().IL1.String()
-	if s == "" {
-		t.Error("empty config string")
+	if s, want := DefaultHierarchy().IL1.String(), "64KB 2-way 32B-line (1-cycle hit)"; s != want {
+		t.Errorf("String() = %q, want %q", s, want)
 	}
 }

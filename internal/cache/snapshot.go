@@ -36,7 +36,7 @@ func (c *Cache) DecodeSnapshot(r *snap.Reader) {
 			l.lru = r.U64()
 		}
 	} else {
-		r.Corruptf("cache %s: %d lines in snapshot, want %d", c.cfg.Name, n, len(c.lines))
+		r.Corruptf("cache %s: %d lines in snapshot, want %d", c.name, n, len(c.lines))
 	}
 	c.age = r.U64()
 	c.Stats.Accesses = r.U64()

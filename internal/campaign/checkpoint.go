@@ -95,10 +95,13 @@ func parseJournal(data []byte) (*journalHeader, []journalRecord, int64) {
 		if len(data)-off < 4 {
 			break
 		}
-		n := int(binary.LittleEndian.Uint32(data[off:]))
-		if n > len(data)-off-4 {
+		// Compared before converting: on a 32-bit int a length of
+		// 2^31 or more would turn negative and pass the check.
+		frame := binary.LittleEndian.Uint32(data[off:])
+		if uint64(frame) > uint64(len(data)-off-4) {
 			break // torn tail: frame extends past the file
 		}
+		n := int(frame)
 		r, err := snap.NewReader(data[off+4 : off+4+n])
 		if err != nil {
 			break

@@ -15,35 +15,23 @@ import (
 	"repro/internal/workload"
 )
 
-// interruptRun runs m until the given cycle count (observed at the
-// machine's own observation points, so the interruption cycle is
-// deterministic) and returns with the run cancelled mid-flight.
-func interruptRun(t *testing.T, m *cpu.Machine) {
+// interruptRun runs m and cancels the run at the first observation at
+// or after the given cycle. The cancellation lands on the run loop's
+// next poll, so the interrupted machine state is a deterministic
+// function of (config, program, cycle).
+func interruptRun(t *testing.T, m *cpu.Machine, atCycle uint64) {
 	t.Helper()
-	_, err := m.RunContext(interruptCtx)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("interrupted run returned %v (run too short to interrupt?)", err)
-	}
-}
-
-// interruptCtx is pre-cancelled by the Observe hook installed by
-// withInterrupt; see below.
-var interruptCtx context.Context
-
-// withInterrupt arms cfg to cancel its own run at the first
-// observation at or after the given cycle. The cancellation lands on
-// the run loop's next poll, so the interrupted machine state is a
-// deterministic function of (config, program, cycle).
-func withInterrupt(cfg cpu.Config, atCycle uint64) cpu.Config {
 	ctx, cancel := context.WithCancel(context.Background())
-	interruptCtx = ctx
-	cfg.ObserveEvery = 256
-	cfg.Observe = func(s *cpu.Stats) {
+	defer cancel()
+	m.SetHooks(cpu.Hooks{ObserveEvery: 256, Observe: func(s *cpu.Stats) {
 		if s.Cycles >= atCycle {
 			cancel()
 		}
+	}})
+	_, err := m.RunContext(ctx)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run returned %v (run too short to interrupt?)", err)
 	}
-	return cfg
 }
 
 // assertSameArchState compares the committed architectural state of
@@ -84,11 +72,11 @@ func TestSnapshotRestoreContinuesIdentically(t *testing.T) {
 			cfg.MaxInsts = insts
 			cfg.MaxCycles = insts * 100
 
-			donor, err := cpu.New(withInterrupt(cfg, 2_000), program)
+			donor, err := cpu.New(cfg, program)
 			if err != nil {
 				t.Fatal(err)
 			}
-			interruptRun(t, donor)
+			interruptRun(t, donor, 2_000)
 			blob := donor.Snapshot()
 
 			restored := new(cpu.Machine)
@@ -145,11 +133,11 @@ func TestSnapshotTable2Sweep(t *testing.T) {
 					cfg.Fault = fault.Config{Rate: 5e-4, Seed: int64(31 + m.r), Targets: fault.AllTargets}
 				}
 
-				donor, err := cpu.New(withInterrupt(cfg, 1_000), program)
+				donor, err := cpu.New(cfg, program)
 				if err != nil {
 					t.Fatal(err)
 				}
-				interruptRun(t, donor)
+				interruptRun(t, donor, 1_000)
 				restored := new(cpu.Machine)
 				if err := restored.Restore(cfg, donor.Snapshot()); err != nil {
 					t.Fatal(err)
@@ -248,11 +236,11 @@ func TestRestoreIntoRecycledMachine(t *testing.T) {
 	cfg.MaxInsts = 6_000
 	cfg.MaxCycles = 600_000
 
-	donor, err := cpu.New(withInterrupt(cfg, 1_500), progA)
+	donor, err := cpu.New(cfg, progA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	interruptRun(t, donor)
+	interruptRun(t, donor, 1_500)
 	blob := donor.Snapshot()
 
 	// The recycled victim: a different model, different program, run to

@@ -214,7 +214,7 @@ func (m *Machine) checkOracle(c0, chosen *Entry, oi *isa.OpInfo, size int) error
 	if err != nil {
 		m.stats.EscapedFaults++
 		m.oracleLive = false
-		if m.cfg.StrictOracle {
+		if m.hooks.StrictOracle {
 			return &OracleError{Cycle: m.cycle, PC: c0.PC, Diff: "oracle: " + err.Error()}
 		}
 		return nil
@@ -222,7 +222,7 @@ func (m *Machine) checkOracle(c0, chosen *Entry, oi *isa.OpInfo, size int) error
 	if diff := want.Mismatch(got); diff != "" {
 		m.stats.EscapedFaults++
 		m.oracleLive = false
-		if m.cfg.StrictOracle {
+		if m.hooks.StrictOracle {
 			return &OracleError{Cycle: m.cycle, PC: c0.PC, Diff: diff}
 		}
 	}

@@ -24,22 +24,38 @@ func TestConfigValidation(t *testing.T) {
 		"majority threshold above": func(c *Config) { c.R, c.Majority, c.MajorityThreshold = 3, true, 4 },
 	}
 	for name, mutate := range cases {
-		cfg := Baseline()
+		cfg := ModelSS1.Config()
 		mutate(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: invalid config accepted", name)
 		}
 	}
 	for name, cfg := range map[string]Config{
-		"baseline":           Baseline(),
-		"halved":             Halved(),
-		"R=3 on RUU 128":     func() Config { c := Baseline(); c.R = 3; return c }(),
-		"R=3 majority of 2":  func() Config { c := Baseline(); c.R, c.Majority, c.MajorityThreshold = 3, true, 2; return c }(),
-		"R=4 unanimous vote": func() Config { c := Baseline(); c.R, c.Majority, c.MajorityThreshold = 4, true, 4; return c }(),
+		"baseline":           ModelSS1.Config(),
+		"halved":             ModelStatic2.Config(),
+		"R=3 on RUU 128":     func() Config { c := ModelSS1.Config(); c.R = 3; return c }(),
+		"R=3 majority of 2":  func() Config { c := ModelSS1.Config(); c.R, c.Majority, c.MajorityThreshold = 3, true, 2; return c }(),
+		"R=4 unanimous vote": func() Config { c := ModelSS1.Config(); c.R, c.Majority, c.MajorityThreshold = 4, true, 4; return c }(),
 	} {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("%s rejected: %v", name, err)
 		}
+	}
+}
+
+// TestValidateAllocatesNothing: Reset validates on every pooled trial,
+// so a valid configuration — faults and a stuck bit included — must
+// cost no allocation.
+func TestValidateAllocatesNothing(t *testing.T) {
+	cfg := ModelSS3.Config()
+	cfg.Fault = fault.Config{Rate: 1e-3, Seed: 7, Targets: fault.AllTargets}
+	cfg.Persistent = &fault.Persistent{Pool: isa.PoolIntALU, Unit: 1, Bit: 5}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Validate allocates %v times per call", allocs)
 	}
 }
 
@@ -53,7 +69,7 @@ func TestRUURoundedToMultipleOfR(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(ruu int) *Stats {
-		cfg := Baseline()
+		cfg := ModelSS1.Config()
 		cfg.R, cfg.RUUSize = 3, ruu
 		cfg.Fault = fault.Config{Rate: 1e-3, Seed: 7, Targets: fault.AllTargets}
 		cfg.MaxInsts = 5_000
@@ -83,13 +99,13 @@ func TestRUURoundedToMultipleOfR(t *testing.T) {
 // golden file does not cover. Snapshots and campaign checkpoints on
 // disk carry these values, so a change here makes them unrestorable.
 func TestFingerprintStable(t *testing.T) {
-	with := func(f func(*Config)) Config { c := Baseline(); f(&c); return c }
+	with := func(f func(*Config)) Config { c := ModelSS1.Config(); f(&c); return c }
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 		want uint64
 	}{
-		{"SS-1", Baseline(), 0xcd1ab40761dae6c},
+		{"SS-1", ModelSS1.Config(), 0xcd1ab40761dae6c},
 		{"R=2 rewind", with(func(c *Config) { c.R = 2 }), 0xe29077cd94361e50},
 		{"R=3 majority of 2", with(func(c *Config) { c.R, c.Majority, c.MajorityThreshold = 3, true, 2 }), 0x6ff9f77e1117f6e},
 		{"R=4 majority of 3", with(func(c *Config) { c.R, c.Majority, c.MajorityThreshold = 4, true, 3 }), 0xa7661fbefe69393},

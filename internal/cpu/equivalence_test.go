@@ -31,7 +31,7 @@ func TestScanVsEventEquivalence(t *testing.T) {
 		r        int
 		cosched  bool
 		majority bool
-		halved   bool // cpu.Halved (Static-2) instead of Baseline
+		halved   bool // the Static-2 datapath instead of Table 1
 		ruu      int  // RUU size override (LSQ = ruu/2); 0 keeps the base
 	}
 	variants := []variant{
@@ -59,16 +59,18 @@ func TestScanVsEventEquivalence(t *testing.T) {
 			}
 			t.Run(fmt.Sprintf("%s/%s", p.Name, v.name), func(t *testing.T) {
 				run := func(naive bool) (*Machine, *Stats, error) {
-					cfg := Baseline()
+					cfg := ModelSS1.Config()
 					if v.halved {
-						cfg = Halved()
+						cfg = ModelStatic2.Config()
 					}
 					if v.ruu > 0 {
 						cfg.RUUSize, cfg.LSQSize = v.ruu, v.ruu/2
 					}
 					cfg.R = v.r
 					cfg.CoSchedule = v.cosched
-					cfg.Majority, cfg.MajorityThreshold = v.majority, 2
+					if v.majority {
+						cfg.Majority, cfg.MajorityThreshold = true, 2
+					}
 					// Each machine builds its own injector: the RNG stream
 					// is consumed during simulation, and its consumption
 					// order is part of what equivalence checks.
@@ -120,7 +122,7 @@ func TestScanVsEventFaultFree(t *testing.T) {
 		ruu := ruu
 		t.Run(fmt.Sprintf("RUU%d", ruu), func(t *testing.T) {
 			run := func(naive bool) *Stats {
-				cfg := Baseline()
+				cfg := ModelSS1.Config()
 				cfg.RUUSize = ruu
 				cfg.LSQSize = ruu / 2
 				cfg.MaxInsts = 3_000

@@ -32,7 +32,8 @@ type fetchedInst struct {
 // Machine is one simulated processor core plus its committed
 // architectural state.
 type Machine struct {
-	cfg Config
+	cfg   Config
+	hooks Hooks
 
 	// Committed (ECC-protected, outside the sphere of replication)
 	// architectural state. The committed next-PC register is the one
@@ -116,10 +117,10 @@ func (m *Machine) Stats() *Stats { return &m.stats }
 
 // emit records a pipeline event for one entry when tracing is enabled.
 func (m *Machine) emit(stage trace.Stage, e *Entry) {
-	if m.cfg.Tracer == nil {
+	if m.hooks.Tracer == nil {
 		return
 	}
-	m.cfg.Tracer.Record(trace.Event{
+	m.hooks.Tracer.Record(trace.Event{
 		Cycle: m.cycle, Stage: stage,
 		Seq: e.Seq, GID: e.GID, Copy: e.Copy, PC: e.PC, Inst: e.Inst,
 	})
@@ -128,7 +129,7 @@ func (m *Machine) emit(stage trace.Stage, e *Entry) {
 // emitSquashes records squash events for every valid entry younger than
 // seq (or all entries when all is set) before they are discarded.
 func (m *Machine) emitSquashes(seq uint64, all bool) {
-	if m.cfg.Tracer == nil {
+	if m.hooks.Tracer == nil {
 		return
 	}
 	m.ruu.forEach(func(_ int, e *Entry) bool {
@@ -202,8 +203,8 @@ func (m *Machine) RunContext(ctx context.Context) (*Stats, error) {
 		m.dispatch()
 		m.fetch()
 
-		if m.cfg.ObserveEvery > 0 && m.cfg.Observe != nil && m.cycle%m.cfg.ObserveEvery == 0 {
-			m.cfg.Observe(&m.stats)
+		if m.hooks.ObserveEvery > 0 && m.hooks.Observe != nil && m.cycle%m.hooks.ObserveEvery == 0 {
+			m.hooks.Observe(&m.stats)
 		}
 
 		if m.cycle-m.lastCommitCycle > deadlockWindow {
@@ -242,12 +243,12 @@ func (m *Machine) fetch() {
 	// One I-cache access per fetch group; a miss stalls the front end for
 	// the full access time.
 	lat := m.caches.IFetch(m.fetchPC)
-	if lat > m.cfg.Hierarchy.IL1.HitLatency {
+	if lat > m.cfg.Memory.IL1.HitLatency {
 		m.stallUntil = m.cycle + uint64(lat)
 		m.stats.FetchICacheStall += uint64(lat)
 		return
 	}
-	lineMask := ^uint64(m.cfg.Hierarchy.IL1.LineBytes - 1)
+	lineMask := ^uint64(m.cfg.Memory.IL1.LineBytes - 1)
 	firstLine := m.fetchPC & lineMask
 	secondLine := uint64(0)
 	haveSecond := false
@@ -260,7 +261,7 @@ func (m *Machine) fetch() {
 			if !haveSecond {
 				haveSecond = true
 				secondLine = pc & lineMask
-				if l2 := m.caches.IFetch(pc); l2 > m.cfg.Hierarchy.IL1.HitLatency {
+				if l2 := m.caches.IFetch(pc); l2 > m.cfg.Memory.IL1.HitLatency {
 					m.stallUntil = m.cycle + uint64(l2)
 					m.stats.FetchICacheStall += uint64(l2)
 					return

@@ -44,7 +44,7 @@ func runProgram(t *testing.T, cfg Config, p *prog.Program) *Stats {
 }
 
 func TestBaselineSumLoop(t *testing.T) {
-	st := runProgram(t, Baseline(), sumProgram(500))
+	st := runProgram(t, ModelSS1.Config(), sumProgram(500))
 	if len(st.Output) != 1 || st.Output[0] != 125250 {
 		t.Fatalf("output = %v, want [125250]", st.Output)
 	}
@@ -69,7 +69,7 @@ func TestILPThroughput(t *testing.T) {
 	b.I(isa.OpAddi, 1, 1, -1)
 	b.Branch(isa.OpBne, 1, 0, "loop")
 	b.Halt()
-	st := runProgram(t, Baseline(), b.MustBuild())
+	st := runProgram(t, ModelSS1.Config(), b.MustBuild())
 	if ipc := st.IPC(); ipc < 3.0 {
 		t.Errorf("ILP loop IPC = %.2f, want > 3: %s", ipc, st.Summary())
 	}
@@ -87,7 +87,7 @@ func TestSerialDependencyChain(t *testing.T) {
 	b.I(isa.OpAddi, 1, 1, -1)
 	b.Branch(isa.OpBne, 1, 0, "loop")
 	b.Halt()
-	st := runProgram(t, Baseline(), b.MustBuild())
+	st := runProgram(t, ModelSS1.Config(), b.MustBuild())
 	// 10 instructions per iteration, ~8 serial cycles minimum.
 	if ipc := st.IPC(); ipc > 1.6 {
 		t.Errorf("serial chain IPC = %.2f, expected near 1.25: %s", ipc, st.Summary())
@@ -108,7 +108,7 @@ func TestMemoryAndForwarding(t *testing.T) {
 	b.Branch(isa.OpBne, 2, 0, "loop")
 	b.Out(5)
 	b.Halt()
-	st := runProgram(t, Baseline(), b.MustBuild())
+	st := runProgram(t, ModelSS1.Config(), b.MustBuild())
 	if st.Output[0] != 500500 {
 		t.Fatalf("sum via memory = %d, want 500500", st.Output[0])
 	}
@@ -140,7 +140,7 @@ func TestBranchyCode(t *testing.T) {
 	if err := ref.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	st := runProgram(t, Baseline(), p)
+	st := runProgram(t, ModelSS1.Config(), p)
 	if st.Output[0] != ref.Output[0] {
 		t.Fatalf("taken count = %d, want %d", st.Output[0], ref.Output[0])
 	}
@@ -162,7 +162,7 @@ func TestCallsAndReturns(t *testing.T) {
 	b.Label("fn")
 	b.I(isa.OpAddi, 5, 5, 3)
 	b.Emit(isa.Inst{Op: isa.OpJr, Rs1: isa.RegLink})
-	st := runProgram(t, Baseline(), b.MustBuild())
+	st := runProgram(t, ModelSS1.Config(), b.MustBuild())
 	if st.Output[0] != 600 {
 		t.Fatalf("calls sum = %d, want 600", st.Output[0])
 	}
@@ -185,7 +185,7 @@ func TestFloatingPointPipeline(t *testing.T) {
 	b.R(isa.OpCvtFI, 3, f2, 0)
 	b.Out(3)
 	b.Halt()
-	st := runProgram(t, Baseline(), b.MustBuild())
+	st := runProgram(t, ModelSS1.Config(), b.MustBuild())
 	if st.Output[0] != 1 { // x/x = 1
 		t.Fatalf("fp result = %d, want 1", st.Output[0])
 	}
@@ -195,9 +195,9 @@ func TestFloatingPointPipeline(t *testing.T) {
 // commit exactly the same architectural results as SS-1, only slower.
 func TestRedundantMatchesBaseline(t *testing.T) {
 	p := sumProgram(300)
-	base := runProgram(t, Baseline(), p)
+	base := runProgram(t, ModelSS1.Config(), p)
 	for _, r := range []int{2, 4} {
-		cfg := Baseline()
+		cfg := ModelSS1.Config()
 		cfg.R = r
 		st := runProgram(t, cfg, p)
 		if len(st.Output) != 1 || st.Output[0] != base.Output[0] {
@@ -219,7 +219,7 @@ func TestRedundantMatchesBaseline(t *testing.T) {
 }
 
 func TestMaxInstsLimit(t *testing.T) {
-	cfg := Baseline()
+	cfg := ModelSS1.Config()
 	cfg.MaxInsts = 100
 	cfg.Oracle = true
 	m, err := New(cfg, sumProgram(100000))
@@ -247,7 +247,7 @@ func TestDeadlockDetection(t *testing.T) {
 	b.Label("top")
 	b.Jump("top")
 	b.Halt()
-	cfg := Baseline()
+	cfg := ModelSS1.Config()
 	cfg.MaxCycles = 5000
 	m, err := New(cfg, b.MustBuild())
 	if err != nil {
@@ -279,8 +279,8 @@ func TestHalvedSlowerThanBaseline(t *testing.T) {
 	b.Branch(isa.OpBne, 1, 0, "loop")
 	b.Halt()
 	p := b.MustBuild()
-	full := runProgram(t, Baseline(), p)
-	half := runProgram(t, Halved(), p)
+	full := runProgram(t, ModelSS1.Config(), p)
+	half := runProgram(t, ModelStatic2.Config(), p)
 	if half.IPC() >= full.IPC() {
 		t.Errorf("halved IPC %.2f >= full IPC %.2f", half.IPC(), full.IPC())
 	}
@@ -298,7 +298,7 @@ func TestStoreLoadDifferentSizes(t *testing.T) {
 	b.Out(3)
 	b.Out(4)
 	b.Halt()
-	st := runProgram(t, Baseline(), b.MustBuild())
+	st := runProgram(t, ModelSS1.Config(), b.MustBuild())
 	if st.Output[0] != 0xFFFFFFFFFFFFFF88 {
 		t.Errorf("lb = %#x", st.Output[0])
 	}
@@ -308,7 +308,7 @@ func TestStoreLoadDifferentSizes(t *testing.T) {
 }
 
 func TestOccupancyStats(t *testing.T) {
-	st := runProgram(t, Baseline(), sumProgram(200))
+	st := runProgram(t, ModelSS1.Config(), sumProgram(200))
 	if st.AvgRUUOccupancy() <= 0 {
 		t.Error("zero RUU occupancy")
 	}

@@ -82,7 +82,7 @@ func TestRandomProgramEquivalence(t *testing.T) {
 		}
 
 		for _, r := range []int{1, 2} {
-			cfg := Baseline()
+			cfg := ModelSS1.Config()
 			cfg.R = r
 			cfg.Oracle = true
 			cfg.MaxCycles = 2_000_000

@@ -34,7 +34,8 @@ const watchCap = 8
 // referees.
 //
 // Reset fully sanitises dirty state, so it is safe after a cancelled or
-// deadlocked run that left instructions in flight.
+// deadlocked run that left instructions in flight. It also clears the
+// machine's Hooks; a host that wants them calls SetHooks afterwards.
 func (m *Machine) Reset(cfg Config, p *prog.Program) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -70,6 +71,7 @@ func (m *Machine) Reset(cfg Config, p *prog.Program) error {
 func (m *Machine) resetHardware(cfg Config) {
 	cfg.RUUSize = cfg.ruuSize()
 	m.cfg = cfg
+	m.hooks = Hooks{}
 	switch {
 	case cfg.R == 1:
 		m.checker = nil
@@ -108,8 +110,8 @@ func (m *Machine) resetHardware(cfg Config) {
 	} else {
 		m.fus.reset()
 	}
-	m.bp = bpred.Renew(m.bp, cfg.Bpred)
-	m.caches = cache.Renew(m.caches, cfg.Hierarchy)
+	m.bp = bpred.Renew(m.bp, cfg.BranchPred)
+	m.caches = cache.Renew(m.caches, cfg.Memory)
 	m.mapTable = [isa.NumRegs]mapRef{}
 
 	// Event-scheduling state, pre-sized so steady-state pushes never

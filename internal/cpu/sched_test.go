@@ -66,13 +66,13 @@ type issueHarness struct {
 func newIssueHarness(t *testing.T, cfg Config, head int) *issueHarness {
 	t.Helper()
 	buf := trace.NewBuffer(256)
-	cfg.Tracer = buf
 	b := prog.NewBuilder("harness")
 	b.Halt()
 	m, err := New(cfg, b.MustBuild())
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.SetHooks(Hooks{Tracer: buf})
 	m.ruu.head, m.ruu.tail = head, head
 	m.cycle = 1
 	return &issueHarness{t: t, m: m, buf: buf, pc: prog.TextBase}
@@ -114,7 +114,7 @@ func TestReadySetScanOrder(t *testing.T) {
 	t.Run("wrap-and-saturate", func(t *testing.T) {
 		// RUU 128 is two words; the head at slot 124 is in word 1, so
 		// the ten entries occupy slots 124..127 and 0..5.
-		h := newIssueHarness(t, Baseline(), 124)
+		h := newIssueHarness(t, ModelSS1.Config(), 124)
 		mul := func(rd uint8) isa.Inst { return isa.Inst{Op: isa.OpMul, Rd: rd} }
 		addi := func(rd uint8) isa.Inst { return isa.Inst{Op: isa.OpAddi, Rd: rd, Imm: 1} }
 		h.dispatch(
@@ -165,7 +165,7 @@ func TestReadySetScanOrder(t *testing.T) {
 	t.Run("gated-load-copy", func(t *testing.T) {
 		// R=2 on an RUU of 16, smaller than one word: the load's two
 		// copies sit at slots 15 and 0.
-		cfg := Baseline()
+		cfg := ModelSS1.Config()
 		cfg.R, cfg.RUUSize, cfg.LSQSize = 2, 16, 8
 		h := newIssueHarness(t, cfg, 15)
 		h.dispatch(isa.Inst{Op: isa.OpLd, Rd: 1, Imm: 0x1000})
@@ -254,7 +254,7 @@ func testMachine(t *testing.T) *Machine {
 	t.Helper()
 	b := prog.NewBuilder("dec")
 	b.Halt()
-	m, err := New(Baseline(), b.MustBuild())
+	m, err := New(ModelSS1.Config(), b.MustBuild())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestCommitStoreInvalidatesDecode(t *testing.T) {
 	b.Halt()
 	victimPC := uint64(prog.TextBase) + 3*isa.InstBytes
 
-	m, err := New(Baseline(), b.MustBuild())
+	m, err := New(ModelSS1.Config(), b.MustBuild())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,19 +33,21 @@ const maxRestoreDraws = 1 << 30
 // size rounded down to a multiple of R, and a disabled fault programme
 // as the zero fault.Config whatever its seed, so RUU 128 and RUU 126
 // give an R=3 machine the same fingerprint.
-// Run limits (MaxInsts/MaxCycles), the cosmetic Name, StrictOracle
-// and the observation/trace hooks are excluded: they affect when a
-// run stops or what a host sees, never what the machine computes, and
-// excluding them is what lets a snapshot taken under one instruction
-// budget resume under a larger one.
+// Run limits (MaxInsts/MaxCycles) and the cosmetic Name and Model are
+// excluded: they affect when a run stops or what a host sees, never
+// what the machine computes, and excluding them is what lets a snapshot
+// taken under one instruction budget resume under a larger one.
 func (c *Config) Fingerprint() uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "fw%d fq%d rp%d rcp%d dw%d iw%d cw%d ruu%d lsq%d",
 		c.FetchWidth, c.FetchQueue, c.RedirectPenalty, c.RecoveryPenalty,
 		c.DispatchWidth, c.IssueWidth, c.CommitWidth, c.ruuSize(), c.LSQSize)
 	fmt.Fprintf(h, " fu%d,%d,%d,%d,%d", c.IntALU, c.IntMult, c.FPAdd, c.FPMult, c.MemPorts)
-	fmt.Fprintf(h, " mem%+v", c.Hierarchy)
-	fmt.Fprintf(h, " bp%+v", c.Bpred.Canonical())
+	// The memory text is the one a named-level hierarchy type once
+	// printed, kept verbatim so stored fingerprints stay valid.
+	fmt.Fprintf(h, " mem{IL1:il1 %v DL1:dl1 %v L2:ul2 %v MemLatency:%d}",
+		c.Memory.IL1, c.Memory.DL1, c.Memory.L2, c.Memory.Latency)
+	fmt.Fprintf(h, " bp%+v", c.BranchPred.Canonical())
 	fmt.Fprintf(h, " r%d cosched%v transform%v oracle%v", c.R, c.CoSchedule, c.TransformOperands, c.Oracle)
 	switch {
 	case c.R == 1:
@@ -53,7 +55,7 @@ func (c *Config) Fingerprint() uint64 {
 	case c.Majority:
 		fmt.Fprintf(h, " chk:%#x", 0x6d616a00<<32|uint64(uint32(c.R))<<16|uint64(uint16(c.MajorityThreshold)))
 	default:
-		fmt.Fprintf(h, " chk:%#x", 0x726577696e6431) // "rewind1"
+		fmt.Fprintf(h, " chk:%#x", uint64(0x726577696e6431)) // "rewind1"
 	}
 	var fc fault.Config
 	if c.Fault.Enabled() {
@@ -227,12 +229,12 @@ func (m *Machine) Restore(cfg Config, data []byte) error {
 	committedPC := r.U64()
 	m.nextPC.Set(committedPC)
 	m.nextPC.CorrectedCount = r.U64()
-	npages := int(r.U32())
-	if npages > r.Len()/(8+4) {
+	npages := r.U32()
+	if uint64(npages) > uint64(r.Len()/(8+4)) {
 		r.Corruptf("page count %d exceeds payload", npages)
 	}
 	prev, first := uint64(0), true
-	for i := 0; i < npages && r.Err() == nil; i++ {
+	for i := uint32(0); i < npages && r.Err() == nil; i++ {
 		idx := r.U64()
 		if !first && idx <= prev {
 			r.Corruptf("page indices not strictly increasing at %#x", idx)
@@ -433,8 +435,8 @@ func decodeStats(r *snap.Reader, s *Stats) {
 		r.Corruptf("fault target count %d, want %d", n, len(s.Fault.ByTarget))
 	}
 	s.Fault.BitsFlips = r.U64()
-	n := int(r.U32())
-	if n > r.Len()/8 {
+	n := r.U32()
+	if uint64(n) > uint64(r.Len()/8) {
 		r.Corruptf("output length %d exceeds payload", n)
 		return
 	}

@@ -11,7 +11,7 @@ import (
 // discarded) and returns steady-state stats.
 func timingRun(t *testing.T, p *prog.Program, mutate func(*Config)) *Stats {
 	t.Helper()
-	cfg := Baseline()
+	cfg := ModelSS1.Config()
 	if mutate != nil {
 		mutate(&cfg)
 	}

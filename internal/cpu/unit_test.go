@@ -67,7 +67,7 @@ func TestAllocHandsOutZeroSlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Baseline()
+	cfg := ModelSS1.Config()
 	cfg.R = 2
 	cfg.Fault = fault.Config{Rate: 1e-2, Seed: 9, Targets: fault.AllTargets}
 	m, err := New(cfg, program)
@@ -371,7 +371,7 @@ func TestCoSchedulePlacesCopiesOnDistinctUnits(t *testing.T) {
 	p := b.MustBuild()
 
 	measure := func(cosched bool) (distinct, same int) {
-		cfg := Baseline()
+		cfg := ModelSS1.Config()
 		cfg.R = 2
 		cfg.CoSchedule = cosched
 		cfg.MaxCycles = 1_000_000
@@ -415,7 +415,7 @@ func TestNextPCUpsetAbsorbed(t *testing.T) {
 	b.Branch(isa.OpBne, 1, 0, "loop")
 	b.Out(1)
 	b.Halt()
-	cfg := Baseline()
+	cfg := ModelSS1.Config()
 	cfg.R = 2
 	cfg.Oracle = true
 	m, err := New(cfg, b.MustBuild())
@@ -455,7 +455,7 @@ func TestRedundantLoadSingleAccess(t *testing.T) {
 	p := b.MustBuild()
 
 	run := func(r int) (dl1Accesses uint64, out uint64) {
-		cfg := Baseline()
+		cfg := ModelSS1.Config()
 		cfg.R = r
 		cfg.MaxCycles = 1_000_000
 		m, err := New(cfg, p)
@@ -496,14 +496,14 @@ func TestPipelineTrace(t *testing.T) {
 	b.Branch(isa.OpBne, 1, 0, "loop")
 	b.Halt()
 	buf := trace.NewBuffer(100_000)
-	cfg := Baseline()
+	cfg := ModelSS1.Config()
 	cfg.R = 2
-	cfg.Tracer = buf
 	cfg.MaxCycles = 100_000
 	m, err := New(cfg, b.MustBuild())
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.SetHooks(Hooks{Tracer: buf})
 	st, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -522,6 +522,18 @@ func TestPipelineTrace(t *testing.T) {
 	// The loop's first bne mispredicts at least once, so squashes exist.
 	if buf.CountStage(trace.StageSquash) == 0 {
 		t.Error("no squash events despite branch rewinds")
+	}
+	// Hooks belong to one run: a reset machine, as a pool hands it to
+	// the next session, records nothing into the previous tracer.
+	recorded := buf.Len()
+	if err := m.Reset(cfg, b.MustBuild()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() != recorded {
+		t.Errorf("reset machine kept its tracer: %d events, want %d", buf.Len(), recorded)
 	}
 	// Per-copy event ordering: dispatch <= issue <= complete <= commit.
 	type times struct{ d, i, c, r uint64 }

@@ -15,7 +15,10 @@
 // retired instruction.
 package fault
 
-import "math/rand"
+import (
+	"fmt"
+	"math/rand"
+)
 
 // Target selects which speculative value a fault corrupts.
 type Target uint8
@@ -35,7 +38,8 @@ const (
 	// instruction copy (its next-PC).
 	TargetBranch
 
-	numTargets
+	// NumTargets counts the injection points; larger values name none.
+	NumTargets
 )
 
 func (t Target) String() string {
@@ -52,6 +56,31 @@ func (t Target) String() string {
 	return "unknown"
 }
 
+// wireNames are the targets' names in a serialized machine
+// description. They differ from String only for TargetResident, whose
+// String form ("rob-resident") is part of the machine fingerprint.
+var wireNames = [NumTargets]string{"result", "address", "resident", "branch"}
+
+// MarshalText encodes a target by its wire name.
+func (t Target) MarshalText() ([]byte, error) {
+	if t >= NumTargets {
+		return nil, fmt.Errorf("unknown fault target %d", uint8(t))
+	}
+	return []byte(wireNames[t]), nil
+}
+
+// UnmarshalText decodes a wire name: result, address, resident or
+// branch.
+func (t *Target) UnmarshalText(text []byte) error {
+	for i, name := range wireNames {
+		if name == string(text) {
+			*t = Target(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown fault target %q", text)
+}
+
 // AllTargets lists every injection point.
 var AllTargets = []Target{TargetResult, TargetAddress, TargetResident, TargetBranch}
 
@@ -59,12 +88,12 @@ var AllTargets = []Target{TargetResult, TargetAddress, TargetResident, TargetBra
 type Config struct {
 	// Rate is the probability that a given executed instruction copy is
 	// corrupted. Zero disables injection.
-	Rate float64
+	Rate float64 `json:"rate,omitempty"`
 	// Seed makes runs reproducible.
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 	// Targets are the enabled injection points; empty means
 	// {TargetResult}.
-	Targets []Target
+	Targets []Target `json:"targets,omitempty"`
 }
 
 // Enabled reports whether the configuration injects any faults.
@@ -73,7 +102,7 @@ func (c Config) Enabled() bool { return c.Rate > 0 }
 // Stats counts injected faults by target.
 type Stats struct {
 	Injected  uint64
-	ByTarget  [numTargets]uint64
+	ByTarget  [NumTargets]uint64
 	BitsFlips uint64
 }
 

@@ -63,7 +63,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestTargetSelection(t *testing.T) {
 	in := Renew(nil, Config{Rate: 1.0, Seed: 3, Targets: AllTargets})
-	var seen [numTargets]bool
+	var seen [NumTargets]bool
 	for i := 0; i < 200; i++ {
 		tgt, hit := in.Roll()
 		if !hit {
@@ -123,5 +123,30 @@ func TestTargetStrings(t *testing.T) {
 	}
 	if Target(99).String() != "unknown" {
 		t.Error("invalid target string")
+	}
+}
+
+// TestTargetText: every target round-trips through its wire name, and
+// names or values outside the set are refused in both directions.
+func TestTargetText(t *testing.T) {
+	want := map[Target]string{TargetResult: "result", TargetAddress: "address", TargetResident: "resident", TargetBranch: "branch"}
+	for _, tgt := range AllTargets {
+		text, err := tgt.MarshalText()
+		if err != nil || string(text) != want[tgt] {
+			t.Errorf("%v.MarshalText() = %q, %v; want %q", tgt, text, err, want[tgt])
+		}
+		var back Target
+		if err := back.UnmarshalText(text); err != nil || back != tgt {
+			t.Errorf("UnmarshalText(%q) = %v, %v; want %v", text, back, err, tgt)
+		}
+	}
+	if _, err := NumTargets.MarshalText(); err == nil {
+		t.Error("out-of-range target marshalled")
+	}
+	for _, name := range []string{"cosmic", "rob-resident", ""} {
+		var tgt Target
+		if err := tgt.UnmarshalText([]byte(name)); err == nil {
+			t.Errorf("UnmarshalText(%q) accepted", name)
+		}
 	}
 }

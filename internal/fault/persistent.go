@@ -17,10 +17,10 @@ import "repro/internal/isa"
 // and the commit-stage cross-check exposes it.
 type Persistent struct {
 	// Pool and Unit name the damaged physical unit instance.
-	Pool isa.Pool
-	Unit int
+	Pool isa.Pool `json:"pool"`
+	Unit int      `json:"unit"`
 	// Bit is the stuck-at-1 position in the unit's result.
-	Bit uint
+	Bit uint `json:"bit"`
 }
 
 // Affects reports whether the fault corrupts an operation of the given

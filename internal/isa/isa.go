@@ -146,6 +146,27 @@ func (p Pool) String() string {
 	return fmt.Sprintf("pool(%d)", uint8(p))
 }
 
+// MarshalText encodes a unit pool by its String name. PoolNone and
+// out-of-range values name no physical unit and have no encoding.
+func (p Pool) MarshalText() ([]byte, error) {
+	if p == PoolNone || p >= NumPools {
+		return nil, fmt.Errorf("unknown functional-unit pool %q", p)
+	}
+	return []byte(p.String()), nil
+}
+
+// UnmarshalText decodes a unit pool name: int-alu, int-mult, fp-add,
+// fp-mult or mem-port.
+func (p *Pool) UnmarshalText(text []byte) error {
+	for q := PoolIntALU; q < NumPools; q++ {
+		if q.String() == string(text) {
+			*p = q
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown functional-unit pool %q", text)
+}
+
 // OpInfo describes the static properties of an opcode.
 type OpInfo struct {
 	Name string

@@ -329,5 +329,31 @@ func TestPoolString(t *testing.T) {
 	}
 }
 
+// TestPoolText: every unit pool round-trips through its name; PoolNone
+// and out-of-range values name no unit and are refused.
+func TestPoolText(t *testing.T) {
+	for p := PoolIntALU; p < NumPools; p++ {
+		text, err := p.MarshalText()
+		if err != nil || string(text) != p.String() {
+			t.Errorf("%v.MarshalText() = %q, %v", p, text, err)
+		}
+		var back Pool
+		if err := back.UnmarshalText(text); err != nil || back != p {
+			t.Errorf("UnmarshalText(%q) = %v, %v; want %v", text, back, err, p)
+		}
+	}
+	for _, p := range []Pool{PoolNone, NumPools, 200} {
+		if _, err := p.MarshalText(); err == nil {
+			t.Errorf("%v marshalled", p)
+		}
+	}
+	for _, name := range []string{"none", "gpu", "pool(9)", ""} {
+		var p Pool
+		if err := p.UnmarshalText([]byte(name)); err == nil {
+			t.Errorf("UnmarshalText(%q) accepted", name)
+		}
+	}
+}
+
 // negU64 returns the two's-complement representation of -v.
 func negU64(v uint64) uint64 { return ^v + 1 }

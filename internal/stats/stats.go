@@ -5,7 +5,6 @@ package stats
 import (
 	"fmt"
 	"io"
-	"math"
 	"strings"
 )
 
@@ -31,30 +30,6 @@ func (t *Table) Add(cells ...string) {
 	}
 	t.rows = append(t.rows, row)
 }
-
-// AddF appends a row of formatted values: strings pass through, float64
-// render with prec digits, integers as themselves.
-func (t *Table) AddF(prec int, cells ...any) {
-	row := make([]string, 0, len(cells))
-	for _, c := range cells {
-		switch v := c.(type) {
-		case string:
-			row = append(row, v)
-		case float64:
-			row = append(row, F(v, prec))
-		case int:
-			row = append(row, fmt.Sprintf("%d", v))
-		case uint64:
-			row = append(row, fmt.Sprintf("%d", v))
-		default:
-			row = append(row, fmt.Sprint(v))
-		}
-	}
-	t.Add(row...)
-}
-
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
 
 // Render writes the table.
 func (t *Table) Render(w io.Writer) {
@@ -135,42 +110,11 @@ func (s *Stream) Add(v float64) {
 	s.m2 += d * (v - s.mean)
 }
 
-// Merge folds another aggregate into this one (parallel-merge form of
-// Welford/Chan et al.), so shards aggregated independently combine into
-// the same moments as a single stream.
-func (s *Stream) Merge(o Stream) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = o
-		return
-	}
-	n := s.n + o.n
-	d := o.mean - s.mean
-	s.m2 += o.m2 + d*d*float64(s.n)*float64(o.n)/float64(n)
-	s.mean += d * float64(o.n) / float64(n)
-	s.sum += o.sum
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	s.n = n
-}
-
 // N returns the observation count.
 func (s *Stream) N() int { return s.n }
 
 // Sum returns the running total.
 func (s *Stream) Sum() float64 { return s.sum }
-
-// Mean returns the running mean (0 when empty).
-func (s *Stream) Mean() float64 { return s.mean }
-
-// Min returns the smallest observation (0 when empty).
-func (s *Stream) Min() float64 { return s.min }
 
 // Max returns the largest observation (0 when empty).
 func (s *Stream) Max() float64 { return s.max }
@@ -182,9 +126,6 @@ func (s *Stream) Var() float64 {
 	}
 	return s.m2 / float64(s.n)
 }
-
-// StdDev returns the population standard deviation.
-func (s *Stream) StdDev() float64 { return math.Sqrt(s.Var()) }
 
 // String summarises the aggregate for progress reports.
 func (s *Stream) String() string {
