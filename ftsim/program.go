@@ -14,8 +14,11 @@ import (
 // Program is an executable SRISC program image: text, data and entry
 // point. Obtain one from Benchmark (the paper's Table 2 suite) or
 // Assemble (SRISC text assembly); the same Program can be loaded into
-// any number of sessions, including concurrently — machines clone the
-// image into their own memory.
+// any number of sessions, including concurrently. A Program is
+// immutable: its read-only memory image is built on the first load,
+// and its data segment backs that image's shared pages without a copy,
+// so it is never written. Each machine maps the image and copies a
+// page only when it first stores to it.
 type Program struct {
 	p *prog.Program
 }

@@ -184,7 +184,9 @@ func TestObserverDoesNotPerturb(t *testing.T) {
 
 // TestConcurrentSessions: one Machine, many concurrent sessions — the
 // pattern a service would use — must race cleanly (run under -race) and
-// produce identical results on every goroutine.
+// produce identical results on every goroutine. The sessions load one
+// Program at once, so they also build and map its shared image
+// concurrently, each copying the pages it stores to.
 func TestConcurrentSessions(t *testing.T) {
 	cfg := ftsim.ModelSS2.Config()
 	cfg.Fault = ftsim.FaultConfig{Rate: 2e-4, Seed: 5, Targets: ftsim.AllFaultTargets()}

@@ -297,7 +297,7 @@ var errShardFailed = errors.New("shard campaign failed")
 
 // Run implements server.Backend: partition, dispatch, merge.
 func (c *Coordinator) Run(ctx context.Context, j *server.Job) (*server.Result, error) {
-	n := len(j.Trials)
+	n := len(j.Request.Trials)
 	k := j.Request.Shards
 	if k == 0 {
 		k = c.cfg.Shards
@@ -453,7 +453,7 @@ func (c *Coordinator) runShard(ctx context.Context, j *server.Job, r shardRange,
 	req.Shards = 0
 	req.Shard = &api.ShardRange{
 		Offset: j.SeedOffset + r.lo,
-		Total:  j.SeedOffset + len(j.Trials),
+		Total:  j.SeedOffset + len(j.Request.Trials),
 	}
 
 	sub, err := w.client.Submit(ctx, &req)
@@ -475,7 +475,7 @@ func (c *Coordinator) runShard(ctx context.Context, j *server.Job, r shardRange,
 		w.client.Cancel(cctx, sub.ID) // best-effort
 	}()
 
-	total := len(j.Trials)
+	total := len(j.Request.Trials)
 	var final *api.JobStatus
 	werr := w.client.Watch(ctx, sub.ID, 0, func(ev api.Event) error {
 		switch ev.Type {

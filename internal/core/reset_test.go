@@ -4,10 +4,13 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/cpu"
 	"repro/internal/fault"
+	"repro/internal/mem"
+	"repro/internal/prog"
 	"repro/internal/testenv"
 	"repro/internal/workload"
 )
@@ -276,5 +279,52 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 				t.Errorf("warm rebuild+run allocates %.1f/run, budget %.0f", got, tc.ceiling)
 			}
 		})
+	}
+}
+
+// TestWarmLoadCopiesNoData: loading the largest Table 2 data segment
+// (swim's) into a warm machine maps the program's image instead of
+// copying it. The machine's data pages are the program's own Data,
+// the reset allocates nothing, and the oracle's clone of the loaded
+// memory allocates far less than the segment.
+func TestWarmLoadCopiesNoData(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	swim, _ := workload.ByName("swim")
+	program, err := swim.Build(1 << 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := SS2()
+	cfg.MaxInsts = 2_000
+	m, err := cpu.New(cfg, program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.RunContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	reset := func() {
+		if err := m.Reset(cfg, program); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(5, reset); got != 0 {
+		t.Errorf("warm reset allocates %.1f/run, want 0", got)
+	}
+	last := len(program.Data) - len(program.Data)%mem.PageSize - mem.PageSize
+	if &m.Memory().PageData((prog.DataBase + uint64(last)) >> mem.PageShift)[0] != &program.Data[last] {
+		t.Error("the loaded data segment is a copy of the program's Data")
+	}
+
+	cfg.Oracle = true
+	reset()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	reset()
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(program.Data)/8); got > limit {
+		t.Errorf("warm reset with the oracle allocates %d bytes; data segment is %d", got, len(program.Data))
 	}
 }

@@ -28,7 +28,7 @@ const watchCap = 8
 // one just built by New with the same arguments — New itself is Reset
 // applied to the zero Machine, so the two states come from one code
 // path. The only differences are invisible ones: retained slice
-// capacity, retained (zeroed) memory pages, and the fault injector's
+// capacity, free-listed private memory pages, and the fault injector's
 // RNG object identity (reseeding reproduces the identical stream).
 // TestResetMatchesFresh and the ftsim pooled-equivalence suite are the
 // referees.
@@ -42,7 +42,7 @@ func (m *Machine) Reset(cfg Config, p *prog.Program) error {
 	}
 	m.resetHardware(cfg)
 
-	// Program image and front end.
+	// Program image, mapped copy-on-write, and front end.
 	entry := p.LoadInto(m.mem)
 	m.regs[isa.RegSP] = prog.StackTop
 	m.nextPC.Set(entry)

@@ -307,12 +307,9 @@ func TestDecodeCacheStraddlingInvalidate(t *testing.T) {
 	}
 }
 
-// TestCommitStoreInvalidatesDecode runs a real program whose store
-// lands on one of its own (already fetched and decode-cached)
-// instructions, and checks the commit path's invalidation hook keeps
-// the decode cache coherent with committed memory afterwards.
-func TestCommitStoreInvalidatesDecode(t *testing.T) {
-	patch := isa.Inst{Op: isa.OpAddi, Rd: 5, Rs1: 0, Imm: 77}
+// smcProgram stores patch over its own victim instruction (li r5, 11)
+// after the victim has executed and printed 11.
+func smcProgram(patch isa.Inst) (p *prog.Program, victimPC uint64) {
 	b := prog.NewBuilder("smc")
 	b.La(7, "victim")                 // 1 instruction
 	b.Li(6, int64(isa.Encode(patch))) // 2 instructions (lih+ori)
@@ -321,9 +318,18 @@ func TestCommitStoreInvalidatesDecode(t *testing.T) {
 	b.Out(5)
 	b.Store(isa.OpSd, 6, 7, 0) // overwrite the victim in memory
 	b.Halt()
-	victimPC := uint64(prog.TextBase) + 3*isa.InstBytes
+	return b.MustBuild(), uint64(prog.TextBase) + 3*isa.InstBytes
+}
 
-	m, err := New(ModelSS1.Config(), b.MustBuild())
+// TestCommitStoreInvalidatesDecode runs a real program whose store
+// lands on one of its own (already fetched and decode-cached)
+// instructions, and checks the commit path's invalidation hook keeps
+// the decode cache coherent with committed memory afterwards.
+func TestCommitStoreInvalidatesDecode(t *testing.T) {
+	patch := isa.Inst{Op: isa.OpAddi, Rd: 5, Rs1: 0, Imm: 77}
+	p, victimPC := smcProgram(patch)
+
+	m, err := New(ModelSS1.Config(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,5 +344,47 @@ func TestCommitStoreInvalidatesDecode(t *testing.T) {
 	// fresh decode must now see the patched word, not the cached one.
 	if in, _ := m.decode(victimPC); in != patch {
 		t.Fatalf("decode after store = %v, want %v", in, patch)
+	}
+}
+
+// TestTextStoreStaysPrivate: the patching store lands on the shared
+// text page of the program's image, so it must copy the page. Another
+// machine loading the program, and this machine after Reset, decode
+// and run the unpatched text.
+func TestTextStoreStaysPrivate(t *testing.T) {
+	patch := isa.Inst{Op: isa.OpAddi, Rd: 5, Rs1: 0, Imm: 77}
+	p, victimPC := smcProgram(patch)
+	cfg := ModelSS2.Config()
+	cfg.Oracle = true
+	m, err := New(cfg, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := New(cfg, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if in, _ := m.decode(victimPC); in != patch {
+		t.Fatalf("patched machine decodes %v, want %v", in, patch)
+	}
+	want := p.Text[3]
+	if in, _ := other.decode(victimPC); in != want {
+		t.Errorf("second machine decodes %v, want the unpatched %v", in, want)
+	}
+	if err := m.Reset(cfg, p); err != nil {
+		t.Fatal(err)
+	}
+	if in, _ := m.decode(victimPC); in != want {
+		t.Errorf("reset machine decodes %v, want the unpatched %v", in, want)
+	}
+	st, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Output) != 1 || st.Output[0] != 11 {
+		t.Errorf("rerun output %v, want [11]", st.Output)
 	}
 }

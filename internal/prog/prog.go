@@ -5,6 +5,7 @@ package prog
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -23,16 +24,23 @@ const (
 	StackTop = 0x0800_0000
 )
 
-// Program is a loadable SRISC program image.
+// Program is a loadable SRISC program image. Its fields must not change
+// once the program is first loaded: every load maps the same read-only
+// memory image, built from them once.
 type Program struct {
 	// Name identifies the program in stats output.
 	Name string
 	// Text holds the decoded instructions, loaded contiguously at TextBase.
 	Text []isa.Inst
 	// Data is the initial contents of the data segment at DataBase.
+	// Its whole pages back the image's shared pages without a copy, so
+	// it must never be written.
 	Data []byte
 	// Symbols maps labels to absolute addresses (text or data).
 	Symbols map[string]uint64
+
+	imageOnce sync.Once
+	image     *mem.Image
 }
 
 // Entry returns the address of the first instruction.
@@ -43,14 +51,28 @@ func (p *Program) TextEnd() uint64 {
 	return TextBase + uint64(len(p.Text))*isa.InstBytes
 }
 
-// LoadInto writes the program image into memory and returns the initial
-// PC. The stack pointer convention (r30 = StackTop) is established by the
-// simulators, not the image.
+// Image returns the program's read-only memory image, built on first
+// use and shared by every later call. The text pages and the last
+// partial data page are copied into it; every whole data page aliases
+// Data.
+func (p *Program) Image() *mem.Image {
+	p.imageOnce.Do(func() {
+		m := mem.New()
+		for i, in := range p.Text {
+			m.Write(TextBase+uint64(i)*isa.InstBytes, isa.InstBytes, isa.Encode(in))
+		}
+		m.ShareBytes(DataBase, p.Data)
+		p.image = m.Freeze()
+	})
+	return p.image
+}
+
+// LoadInto maps the program image into m, which should be empty (new
+// or Reset), and returns the initial PC. It copies no bytes: a store
+// copies the page it lands on. The stack pointer convention (r30 =
+// StackTop) is established by the simulators, not the image.
 func (p *Program) LoadInto(m *mem.Memory) uint64 {
-	for i, in := range p.Text {
-		m.Write(TextBase+uint64(i)*isa.InstBytes, isa.InstBytes, isa.Encode(in))
-	}
-	m.SetBytes(DataBase, p.Data)
+	m.Map(p.Image())
 	return p.Entry()
 }
 

@@ -36,7 +36,9 @@ type Job struct {
 	// configs normalized, labels generated. A distributed backend can
 	// forward slices of it to workers verbatim.
 	Request *api.CampaignRequest
-	// Trials is the compiled grid, aligned with Request.Trials.
+	// Trials is the compiled grid, aligned with Request.Trials, for the
+	// local backend only. A distributed backend gets nil: it forwards
+	// Request, and its workers compile.
 	Trials []ftsim.Trial
 	// SeedOffset is the parent-grid index of Trials[0]: nonzero exactly
 	// when the request is a shard of a larger campaign, in which case

@@ -19,7 +19,7 @@ type job struct {
 	owner      string
 	name       string
 	req        *api.CampaignRequest
-	trials     []ftsim.Trial // compiled req.Trials; nil when recovered as terminal
+	trials     []ftsim.Trial // compiled req.Trials; nil under a distributed backend and once terminal
 	seedOffset int           // parent-grid index of trials[0] (shard requests)
 	submitted  time.Time
 	hub        *sse.Hub
@@ -72,6 +72,11 @@ func (j *job) status() *api.JobStatus {
 // name — so the persisted envelope replays to the identical campaign
 // (same checkpoint-journal hash) on a daemon restart, even if the
 // server's defaults change in between.
+//
+// Programs are compiled only for the local backend. A distributed
+// backend forwards the request and its workers build: here benchmark
+// names are only looked up and assembly is assembled only to refuse
+// bad source with a 400.
 func (s *Server) buildJob(req *api.CampaignRequest, owner string) (*job, error) {
 	if len(req.Trials) == 0 {
 		return nil, errors.New("campaign has no trials")
@@ -83,25 +88,34 @@ func (s *Server) buildJob(req *api.CampaignRequest, owner string) (*job, error) 
 	if req.Shard != nil {
 		offset = req.Shard.Offset
 	}
-	programs := make(map[string]*ftsim.Program)
-	trials := make([]ftsim.Trial, len(req.Trials))
+	local := s.cfg.Backend == nil
+	var trials []ftsim.Trial
+	if local {
+		trials = make([]ftsim.Trial, len(req.Trials))
+	}
 	for i := range req.Trials {
 		ts := &req.Trials[i]
 		var prog *ftsim.Program
+		var name string
 		var err error
 		if ts.Asm != "" {
-			name := ts.Label
+			name = ts.Label
 			if name == "" {
 				name = fmt.Sprintf("asm-%d", i)
 			}
-			prog, err = ftsim.Assemble(name+".s", ts.Asm)
+			name += ".s"
+			prog, err = ftsim.Assemble(name, ts.Asm)
 		} else {
 			if ts.Benchmark == "" {
 				ts.Benchmark = s.cfg.DefaultBenchmark
 			}
-			if prog = programs[ts.Benchmark]; prog == nil {
-				prog, err = ftsim.Benchmark(ts.Benchmark)
-				programs[ts.Benchmark] = prog
+			name = ts.Benchmark
+			build, known := s.programs[name]
+			switch {
+			case !known:
+				_, err = ftsim.Benchmark(name) // fails with ErrUnknownBenchmark, building nothing
+			case local:
+				prog, err = build()
 			}
 		}
 		if err != nil {
@@ -122,12 +136,14 @@ func (s *Server) buildJob(req *api.CampaignRequest, owner string) (*job, error) 
 			// Shard requests label by parent-grid index, so a sharded
 			// run's streams and manifests name trials exactly as the
 			// unsharded run would.
-			ts.Label = fmt.Sprintf("%d/%s", offset+i, prog.Name())
+			ts.Label = fmt.Sprintf("%d/%s", offset+i, name)
 		}
-		trials[i] = ftsim.Trial{Label: ts.Label, Config: cfg, Program: prog}
-	}
-	if req.Name == "" {
-		req.Name = trials[0].Program.Name()
+		if local {
+			trials[i] = ftsim.Trial{Label: ts.Label, Config: cfg, Program: prog}
+		}
+		if req.Name == "" {
+			req.Name = name
+		}
 	}
 	return &job{
 		owner:      owner,
@@ -200,7 +216,7 @@ func (s *Server) runJob(j *job) {
 	s.mu.Unlock()
 	jlog := s.logger.With("job", j.id)
 	ctx = withLogger(ctx, jlog)
-	jlog.Info("job running", "name", j.name, "trials", len(j.trials),
+	jlog.Info("job running", "name", j.name, "trials", len(j.req.Trials),
 		"queue_wait", j.started.Sub(j.submitted))
 	j.hub.Publish(api.Event{Type: api.EventState, State: api.StateRunning})
 
@@ -244,6 +260,7 @@ func (s *Server) runJob(j *job) {
 		j.errMsg = err.Error()
 	}
 	j.finished = time.Now().UTC()
+	j.trials = nil // terminal: the compiled grid is never run again
 	s.m.finished.With(string(j.state)).Inc()
 	final := j.status()
 	s.mu.Unlock()
@@ -269,6 +286,7 @@ func (s *Server) cancelJob(j *job) *api.JobStatus {
 		j.state = api.StateCancelled
 		j.userCancel = true
 		j.finished = time.Now().UTC()
+		j.trials = nil
 		s.m.queueDepth.Dec()
 		s.m.finished.With(string(j.state)).Inc()
 		final := j.status()

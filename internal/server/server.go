@@ -140,6 +140,11 @@ type Server struct {
 	runCtx  context.Context
 	stopRun context.CancelFunc
 
+	// programs is the daemon's table of Table 2 programs: each is built
+	// on the first job that runs it locally and shared by every later
+	// one (a Program is immutable and loads concurrently).
+	programs map[string]func() (*ftsim.Program, error)
+
 	mu       sync.Mutex
 	cond     *sync.Cond
 	jobs     map[string]*job
@@ -163,6 +168,10 @@ func New(cfg Config) (*Server, error) {
 		reg = obs.NewRegistry()
 	}
 	s.m = newMetrics(reg)
+	s.programs = make(map[string]func() (*ftsim.Program, error))
+	for _, name := range ftsim.Benchmarks() {
+		s.programs[name] = sync.OnceValues(func() (*ftsim.Program, error) { return ftsim.Benchmark(name) })
+	}
 	s.cond = sync.NewCond(&s.mu)
 	s.runCtx, s.stopRun = context.WithCancel(context.Background())
 	if err := s.recover(); err != nil {
@@ -301,7 +310,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		if other.owner == j.owner && !other.state.Terminal() {
 			ownerJobs++
-			ownerTrials += len(other.trials) - other.done
+			ownerTrials += len(other.req.Trials) - other.done
 		}
 	}
 	if queued >= s.cfg.MaxQueue {
@@ -317,12 +326,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			"client %q has %d active jobs (limit %d)", j.owner, ownerJobs, s.cfg.MaxQueuedPerClient)
 		return
 	}
-	if ownerTrials+len(j.trials) > s.cfg.MaxTrialsPerClient {
+	if ownerTrials+len(j.req.Trials) > s.cfg.MaxTrialsPerClient {
 		s.mu.Unlock()
 		s.m.rejections.With("client_trials").Inc()
 		fail(w, http.StatusTooManyRequests,
 			"client %q would have %d trials in flight (limit %d)",
-			j.owner, ownerTrials+len(j.trials), s.cfg.MaxTrialsPerClient)
+			j.owner, ownerTrials+len(j.req.Trials), s.cfg.MaxTrialsPerClient)
 		return
 	}
 

@@ -456,6 +456,8 @@ func TestSubmitRejections(t *testing.T) {
 		"no trials":     `{"trials": []}`,
 		"bad benchmark": `{"trials": [{"benchmark": "no-such-workload"}]}`,
 		"bad config":    `{"r": -4}`,
+		"bad grid cfg":  `{"trials": [{"benchmark": "gcc", "config": {"r": -4}}]}`,
+		"bad asm":       `{"trials": [{"asm": "bogus r1"}]}`,
 	} {
 		code, out := postJSON(t, ts.URL+"/v1/campaigns", "", []byte(body))
 		if code != http.StatusBadRequest {

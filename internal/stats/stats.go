@@ -80,13 +80,13 @@ func pad(s string, w int) string {
 }
 
 // Stream is a streaming (single-pass, O(1) memory) aggregator of float64
-// observations: count, sum, mean, min, max and variance via Welford's
-// algorithm. The zero value is ready to use. It is the aggregation sink
-// for campaign runs, where trial results arrive one at a time in
-// completion order and nothing may depend on buffering them all.
+// observations: count, sum, running mean, min and max. The zero value
+// is ready to use. It is the aggregation sink for campaign runs, where
+// trial results arrive one at a time in completion order and nothing
+// may depend on buffering them all.
 type Stream struct {
 	n        int
-	mean, m2 float64
+	mean     float64
 	sum      float64
 	min, max float64
 }
@@ -105,9 +105,7 @@ func (s *Stream) Add(v float64) {
 			s.max = v
 		}
 	}
-	d := v - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (v - s.mean)
+	s.mean += (v - s.mean) / float64(s.n)
 }
 
 // N returns the observation count.
@@ -118,14 +116,6 @@ func (s *Stream) Sum() float64 { return s.sum }
 
 // Max returns the largest observation (0 when empty).
 func (s *Stream) Max() float64 { return s.max }
-
-// Var returns the (population) variance.
-func (s *Stream) Var() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n)
-}
 
 // String summarises the aggregate for progress reports.
 func (s *Stream) String() string {
