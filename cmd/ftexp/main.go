@@ -38,7 +38,7 @@ func main() {
 	checkpoint := flag.String("checkpoint", "", "directory for per-experiment checkpoint journals; completed trials survive a killed run")
 	resume := flag.Bool("resume", false, "resume existing checkpoint journals, re-running only unfinished trials")
 	trialTimeout := flag.Duration("trial-timeout", 0, "per-trial deadline (0 = none); timed-out trials fail without aborting the grid when -contain is set")
-	retries := flag.Int("retries", 0, "retry attempts for transient/timed-out trials")
+	retries := flag.Int("retries", 0, "retry attempts for timed-out trials")
 	contain := flag.Bool("contain", false, "keep a campaign running past trial failures; failed trials are listed in an error manifest")
 	metricsDump := flag.Bool("metrics-dump", false, "print campaign-engine metrics (Prometheus text) on stderr at exit")
 	version := flag.Bool("version", false, "print version and exit")

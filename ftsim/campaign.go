@@ -2,7 +2,6 @@ package ftsim
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -32,7 +31,8 @@ type (
 	// order, wall-time aggregates, the resumed-trial count, and the
 	// error manifest via Failures.
 	CampaignReport = campaign.Report
-	// TrialResult is the outcome of one trial.
+	// TrialResult is the outcome of one trial: its Stats (nil unless it
+	// succeeded), error, derived seed, wall time and attempt count.
 	TrialResult = campaign.Result
 	// TrialFailure is one entry of the campaign error manifest.
 	TrialFailure = campaign.TrialFailure
@@ -51,8 +51,6 @@ var (
 	// different campaign (name, seed, grid, or configuration changed)
 	// and cannot be resumed.
 	ErrCheckpointMismatch = campaign.ErrCheckpointMismatch
-	// ErrTransient marks a trial error as retryable under WithRetry.
-	ErrTransient = campaign.ErrTransient
 )
 
 // CampaignOption configures RunCampaign.
@@ -152,10 +150,11 @@ func WithTrialTimeout(d time.Duration) CampaignOption {
 	return func(o *campaignOpts) { o.trialTimeout = d }
 }
 
-// WithRetry re-attempts retryable trial failures (ErrTransient,
-// ErrTrialTimeout) up to retries additional times, waiting backoff
+// WithRetry re-attempts trials that time out (ErrTrialTimeout, see
+// WithTrialTimeout) up to retries additional times, waiting backoff
 // before the first retry and doubling it for each subsequent one, up
-// to 2s (backoff <= 0 selects a 50ms default).
+// to 2s (backoff <= 0 selects a 50ms default). Other failures are
+// deterministic and never retried.
 func WithRetry(retries int, backoff time.Duration) CampaignOption {
 	return func(o *campaignOpts) { o.retries = retries; o.backoff = backoff }
 }
@@ -211,7 +210,7 @@ func RunCampaign(ctx context.Context, name string, trials []Trial, opts ...Campa
 		idx := i
 		specTrials[i] = campaign.Trial{
 			Label: t.Label,
-			Run: func(ctx context.Context, seed int64) (any, error) {
+			Run: func(ctx context.Context, seed int64) (*Stats, error) {
 				run := *m // the seed override must not leak across trials
 				if run.cfg.Fault.Enabled() {
 					run.cfg.Fault.Seed = seed
@@ -241,8 +240,6 @@ func RunCampaign(ctx context.Context, name string, trials []Trial, opts ...Campa
 		runner.Checkpoint = &campaign.Checkpoint{
 			Path:       o.checkpoint,
 			Hash:       hash,
-			Encode:     encodeStatsValue,
-			Decode:     decodeStatsValue,
 			FlushEvery: o.flushEvery,
 		}
 	}
@@ -254,7 +251,18 @@ func RunCampaign(ctx context.Context, name string, trials []Trial, opts ...Campa
 // use the report's Results and Failures directly when partial results
 // are wanted.
 func CollectStats(rep *CampaignReport) ([]*Stats, error) {
-	return campaign.Collect[*Stats](rep)
+	out := make([]*Stats, len(rep.Results))
+	for i := range rep.Results {
+		res := &rep.Results[i]
+		if res.Err != nil {
+			return nil, fmt.Errorf("trial %d (%s): %w", i, res.Label, res.Err)
+		}
+		if res.Stats == nil {
+			return nil, fmt.Errorf("trial %d (%s): never ran", i, res.Label)
+		}
+		out[i] = res.Stats
+	}
+	return out, nil
 }
 
 // campaignHash fingerprints everything that changes trial outcomes —
@@ -275,24 +283,4 @@ func campaignHash(trials []Trial) (uint64, error) {
 		h.Write([]byte{0})
 	}
 	return h.Sum64(), nil
-}
-
-// encodeStatsValue / decodeStatsValue are the checkpoint codec for
-// trial values: Stats is flat counters (uint64s, float64s and a uint64
-// slice), all of which encoding/json round-trips exactly, so resumed
-// aggregates stay bit-identical to an uninterrupted run's.
-func encodeStatsValue(v any) ([]byte, error) {
-	st, ok := v.(*Stats)
-	if !ok {
-		return nil, fmt.Errorf("ftsim: campaign checkpoint: trial value is %T, want *Stats", v)
-	}
-	return json.Marshal(st)
-}
-
-func decodeStatsValue(data []byte) (any, error) {
-	st := new(Stats)
-	if err := json.Unmarshal(data, st); err != nil {
-		return nil, fmt.Errorf("ftsim: campaign checkpoint: %w", err)
-	}
-	return st, nil
 }

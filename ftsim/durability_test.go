@@ -319,7 +319,7 @@ func TestRunCampaignCheckpointResume(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	completed := 0
-	_, err := ftsim.RunCampaign(ctx, "resume", trials,
+	partial, err := ftsim.RunCampaign(ctx, "resume", trials,
 		ftsim.WithWorkers(1), // sequential, so exactly two trials finish
 		ftsim.WithCheckpoint(path),
 		ftsim.WithCampaignProgress(func(done, total int, r ftsim.TrialResult) {
@@ -329,6 +329,9 @@ func TestRunCampaignCheckpointResume(t *testing.T) {
 		}))
 	if err == nil {
 		t.Fatal("cancelled campaign reported success")
+	}
+	if _, err := ftsim.CollectStats(partial); err == nil {
+		t.Error("CollectStats over trials that never ran reported success")
 	}
 
 	rep, err := ftsim.RunCampaign(context.Background(), "resume", trials,

@@ -4,34 +4,34 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
+
+	"repro/internal/cpu"
 )
 
 // TestBatchingDeterminism: results — values, seeds, labels, order — are
-// identical across every batch size and worker count, because seeds
+// identical across every worker count, and so across the batch sizes
+// those worker counts pick (1 to 32 over these grids), because seeds
 // derive from trial indices and results are stored by index.
 func TestBatchingDeterminism(t *testing.T) {
-	const trials = 50
-	mkTrials := func() []Trial {
-		ts := make([]Trial, trials)
-		for i := range ts {
+	for _, n := range []int{10, 50, 400} {
+		trials := make([]Trial, n)
+		for i := range trials {
 			idx := i
-			ts[i] = Trial{
+			trials[i] = Trial{
 				Label: fmt.Sprintf("t%d", idx),
-				Run: func(ctx context.Context, seed int64) (any, error) {
-					return fmt.Sprintf("%d:%d", idx, seed), nil
+				Run: func(ctx context.Context, seed int64) (*cpu.Stats, error) {
+					return &cpu.Stats{Committed: uint64(idx), Cycles: uint64(seed)}, nil
 				},
 			}
 		}
-		return ts
-	}
-	var ref []Result
-	for _, workers := range []int{1, 3} {
-		for _, batch := range []int{0, 1, 7, 1000} {
-			rep, err := Runner{Workers: workers, Batch: batch}.Run(
-				context.Background(), Spec{Name: "batch", Seed: 42, Trials: mkTrials()})
+		var ref []Result
+		for _, workers := range []int{1, 3, 8} {
+			rep, err := Runner{Workers: workers}.Run(
+				context.Background(), Spec{Name: "batch", Seed: 42, Trials: trials})
 			if err != nil {
-				t.Fatalf("workers=%d batch=%d: %v", workers, batch, err)
+				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
 			}
 			if ref == nil {
 				ref = rep.Results
@@ -39,31 +39,27 @@ func TestBatchingDeterminism(t *testing.T) {
 			}
 			for i := range rep.Results {
 				got, want := rep.Results[i], ref[i]
-				if got.Value != want.Value || got.Seed != want.Seed || got.Label != want.Label || got.Index != want.Index {
-					t.Errorf("workers=%d batch=%d trial %d: %+v != reference %+v",
-						workers, batch, i, got, want)
+				if !reflect.DeepEqual(got.Stats, want.Stats) || got.Seed != want.Seed || got.Label != want.Label || got.Index != want.Index {
+					t.Errorf("n=%d workers=%d (batch %d) trial %d: %+v != reference %+v",
+						n, workers, batchSize(n, workers), i, got, want)
 				}
 			}
 		}
 	}
 }
 
-// TestAutoBatchSizing pins the auto batch heuristic's envelope: 1 for
-// small grids, bounded by 32, and never zero.
+// TestAutoBatchSizing pins the batch heuristic's envelope: 1 for small
+// grids, bounded by 32, and never zero.
 func TestAutoBatchSizing(t *testing.T) {
-	r := Runner{}
 	for _, tc := range []struct{ n, w, want int }{
 		{1, 1, 1},
 		{33, 4, 1},
 		{320, 4, 10},
 		{100_000, 4, 32},
 	} {
-		if got := r.batch(tc.n, tc.w); got != tc.want {
-			t.Errorf("batch(%d, %d) = %d, want %d", tc.n, tc.w, got, tc.want)
+		if got := batchSize(tc.n, tc.w); got != tc.want {
+			t.Errorf("batchSize(%d, %d) = %d, want %d", tc.n, tc.w, got, tc.want)
 		}
-	}
-	if got := (Runner{Batch: 5}).batch(1000, 4); got != 5 {
-		t.Errorf("explicit Batch ignored: got %d", got)
 	}
 }
 
@@ -71,13 +67,13 @@ func TestAutoBatchSizing(t *testing.T) {
 // dispatch between batches and surfaces the cancellation; trials inside
 // an already-dispatched batch still observe the cancelled context.
 func TestBatchedCancellation(t *testing.T) {
-	const trials = 40
+	const trials = 40 // batches of 5 on one worker
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ran := 0
 	ts := make([]Trial, trials)
 	for i := range ts {
-		ts[i] = Trial{Run: func(c context.Context, seed int64) (any, error) {
+		ts[i] = Trial{Run: func(c context.Context, seed int64) (*cpu.Stats, error) {
 			ran++
 			if ran == 3 {
 				cancel()
@@ -85,7 +81,7 @@ func TestBatchedCancellation(t *testing.T) {
 			return nil, c.Err() // nil before cancellation, Canceled after
 		}}
 	}
-	rep, err := Runner{Workers: 1, Batch: 8}.Run(ctx, Spec{Name: "cancel", Trials: ts})
+	rep, err := Runner{Workers: 1}.Run(ctx, Spec{Name: "cancel", Trials: ts})
 	if err == nil {
 		t.Fatal("cancelled campaign returned nil error")
 	}

@@ -1,5 +1,6 @@
 // Package campaign runs experiment campaigns — grids of independent
-// simulation trials — across a pool of worker goroutines.
+// simulation trials, each yielding one *cpu.Stats — across a pool of
+// worker goroutines.
 //
 // The paper's evaluation is an embarrassingly parallel sweep over
 // (benchmark x machine configuration x fault rate) points: every trial
@@ -27,6 +28,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cpu"
 	"repro/internal/stats"
 )
 
@@ -42,7 +44,7 @@ type Trial struct {
 	// the campaign seed and the trial index); trials that inject faults
 	// must seed their injectors from it so the campaign stays
 	// deterministic under any worker count.
-	Run func(ctx context.Context, seed int64) (any, error)
+	Run func(ctx context.Context, seed int64) (*cpu.Stats, error)
 }
 
 // Spec is a campaign: a named grid of trials and the master seed all
@@ -71,13 +73,19 @@ type Result struct {
 	Index   int
 	Label   string
 	Seed    int64
-	Value   any
+	Stats   *cpu.Stats // nil unless the trial succeeded
 	Err     error
 	Elapsed time.Duration
 	// Attempts is how many times the trial executed (1 + retries
 	// consumed); 0 for trials that never ran because dispatch stopped.
 	Attempts int
 }
+
+// Failed reports whether the trial failed for a real reason: its error
+// is not a cancellation. One failing trial cancels the campaign context
+// (unless Runner.Contain), and the in-flight siblings it interrupts then
+// return context.Canceled — noise that must not count as failures.
+func (r *Result) Failed() bool { return r.Err != nil && !isCancellation(r.Err) }
 
 // Progress observes trial completions as they happen. done counts
 // completed trials including this one; calls are serialised by the
@@ -119,28 +127,22 @@ func (r *Report) Speedup() float64 {
 // lowest-index real failure is always the one wrapped (so errors.Is /
 // errors.As see the root cause regardless of completion order), and
 // when containment let several trials fail the message carries the
-// count. Cancellation errors are reported only when no trial failed
-// for a real reason: one failing trial cancels the campaign context
-// (unless Runner.Contain), and the in-flight siblings it interrupts
-// then return context.Canceled — noise that must not mask the root
-// cause. Use Failures for the full manifest.
+// count. Cancellation errors are reported only when no trial Failed,
+// so they never mask the root cause. Use Failures for the full
+// manifest.
 func (r *Report) Err() error {
 	var cancelled, first error
 	failed := 0
 	for i := range r.Results {
-		err := r.Results[i].Err
-		if err == nil {
-			continue
-		}
-		if isCancellation(err) {
-			if cancelled == nil {
-				cancelled = fmt.Errorf("trial %d (%s): %w", i, r.Results[i].Label, err)
+		res := &r.Results[i]
+		switch {
+		case res.Failed():
+			failed++
+			if first == nil {
+				first = fmt.Errorf("trial %d (%s): %w", i, res.Label, res.Err)
 			}
-			continue
-		}
-		failed++
-		if first == nil {
-			first = fmt.Errorf("trial %d (%s): %w", i, r.Results[i].Label, err)
+		case res.Err != nil && cancelled == nil:
+			cancelled = fmt.Errorf("trial %d (%s): %w", i, res.Label, res.Err)
 		}
 	}
 	switch {
@@ -162,16 +164,15 @@ type TrialFailure struct {
 	Err      error
 }
 
-// Failures returns the error manifest: every trial that failed for a
-// real reason, in grid order. Cancellation noise (siblings
-// interrupted by an abort) is excluded, mirroring Err. An empty
-// manifest with a non-nil Err means the campaign itself was
-// cancelled.
+// Failures returns the error manifest: every trial that Failed, in
+// grid order. Cancellation noise (siblings interrupted by an abort) is
+// excluded, mirroring Err. An empty manifest with a non-nil Err means
+// the campaign itself was cancelled.
 func (r *Report) Failures() []TrialFailure {
 	var out []TrialFailure
 	for i := range r.Results {
 		res := &r.Results[i]
-		if res.Err == nil || isCancellation(res.Err) {
+		if !res.Failed() {
 			continue
 		}
 		out = append(out, TrialFailure{
@@ -213,14 +214,6 @@ func TrialSeed(campaignSeed int64, index int) int64 {
 type Runner struct {
 	// Workers is the pool size; <= 0 means GOMAXPROCS.
 	Workers int
-	// Batch is the number of consecutive trials handed to a worker per
-	// dispatch; <= 0 picks an automatic size (1 for small grids, larger
-	// for big ones, so channel traffic amortises over cheap trials
-	// without hurting load balance). Batching never affects results —
-	// per-trial seeds derive from trial indices, not from scheduling —
-	// only dispatch granularity. Cancellation still reaches every trial
-	// of an in-flight batch through the campaign context.
-	Batch int
 	// Progress, when non-nil, is invoked (serialised) after every trial.
 	Progress Progress
 
@@ -238,9 +231,9 @@ type Runner struct {
 	// deadline is cooperative — trials must plumb their context into
 	// the simulation loop for it to bite.
 	TrialTimeout time.Duration
-	// Retries is how many additional attempts a retryable failure
-	// (ErrTransient, ErrTrialTimeout) gets before the trial is declared
-	// failed. 0 disables retry.
+	// Retries is how many additional attempts a trial that timed out
+	// (ErrTrialTimeout) gets before it is declared failed. 0 disables
+	// retry.
 	Retries int
 	// RetryBackoff is the delay before the first retry, doubling per
 	// subsequent retry up to 2s; <= 0 means 50ms.
@@ -259,11 +252,14 @@ type Runner struct {
 	Metrics *Metrics
 }
 
-// batch resolves the dispatch batch size for n trials over w workers.
-func (r Runner) batch(n, w int) int {
-	if r.Batch > 0 {
-		return r.Batch
-	}
+// batchSize is the number of consecutive trials handed to a worker per
+// dispatch for n trials over w workers: 1 for small grids, up to 32 for
+// big ones, so channel traffic amortises over cheap trials without
+// hurting load balance. Batching never affects results — per-trial
+// seeds derive from trial indices, not from scheduling — and
+// cancellation still reaches every trial of an in-flight batch through
+// the campaign context.
+func batchSize(n, w int) int {
 	b := n / (w * 8)
 	if b < 1 {
 		b = 1
@@ -323,7 +319,7 @@ func (r Runner) Run(ctx context.Context, spec Spec) (*Report, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	batch := r.batch(n, rep.Workers)
+	batch := batchSize(n, rep.Workers)
 	jobs := make(chan [2]int) // [start, end) trial-index ranges
 	var wg sync.WaitGroup
 	var mu sync.Mutex // guards done, rep.TrialSeconds, journal appends and Progress calls
@@ -356,7 +352,7 @@ func (r Runner) Run(ctx context.Context, spec Spec) (*Report, error) {
 					t := spec.Trials[idx]
 					res := Result{Index: idx, Label: t.Label, Seed: spec.trialSeed(idx)}
 					t0 := time.Now()
-					res.Value, res.Attempts, res.Err = r.runTrial(ctx, t, res.Seed)
+					res.Stats, res.Attempts, res.Err = r.runTrial(ctx, t, res.Seed)
 					res.Elapsed = time.Since(t0)
 					rep.Results[idx] = res
 					if res.Err != nil && !r.Contain {
@@ -367,7 +363,7 @@ func (r Runner) Run(ctx context.Context, spec Spec) (*Report, error) {
 					rep.TrialSeconds.Add(res.Elapsed.Seconds())
 					r.Metrics.trialFinished(outcomeOf(res.Err), res.Elapsed.Seconds(), res.Attempts)
 					if jw != nil && res.Err == nil {
-						jw.append(r.Checkpoint, res)
+						jw.append(res)
 					}
 					if r.Progress != nil {
 						r.Progress(done, n, res)
@@ -424,24 +420,4 @@ dispatch:
 		}
 	}
 	return rep, err
-}
-
-// Collect extracts the trial values as a typed slice in grid order.
-// Trials that never ran (dispatch stopped after an error) or whose
-// value is not a T yield an error naming the offending trial.
-func Collect[T any](rep *Report) ([]T, error) {
-	out := make([]T, len(rep.Results))
-	for i := range rep.Results {
-		res := &rep.Results[i]
-		if res.Err != nil {
-			return nil, fmt.Errorf("trial %d (%s): %w", i, res.Label, res.Err)
-		}
-		v, ok := res.Value.(T)
-		if !ok {
-			return nil, fmt.Errorf("trial %d (%s): value %T is not %T (trial skipped or mistyped)",
-				i, res.Label, res.Value, v)
-		}
-		out[i] = v
-	}
-	return out, nil
 }

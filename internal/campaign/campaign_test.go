@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/cpu"
 )
 
 func TestTrialSeed(t *testing.T) {
@@ -30,17 +32,35 @@ func TestTrialSeed(t *testing.T) {
 	}
 }
 
-// spec builds a trial grid whose values depend only on (index, seed), with
-// deliberately uneven trial durations so completion order scrambles.
+// statsOf is a trial value carrying n in the counter committed reads back.
+func statsOf(n uint64) *cpu.Stats { return &cpu.Stats{Committed: n} }
+
+// committed returns every trial's Committed counter in grid order,
+// failing the test on a trial that did not succeed.
+func committed(t *testing.T, rep *Report) []uint64 {
+	t.Helper()
+	out := make([]uint64, len(rep.Results))
+	for i, res := range rep.Results {
+		if res.Err != nil || res.Stats == nil {
+			t.Fatalf("trial %d (%s): stats %v, err %v", i, res.Label, res.Stats, res.Err)
+		}
+		out[i] = res.Stats.Committed
+	}
+	return out
+}
+
+// testSpec builds a trial grid whose values depend only on (index,
+// seed), with deliberately uneven trial durations so completion order
+// scrambles.
 func testSpec(n int) Spec {
 	trials := make([]Trial, n)
 	for i := range trials {
 		i := i
 		trials[i] = Trial{
 			Label: fmt.Sprintf("trial-%d", i),
-			Run: func(_ context.Context, seed int64) (any, error) {
+			Run: func(_ context.Context, seed int64) (*cpu.Stats, error) {
 				time.Sleep(time.Duration((i*7)%5) * time.Millisecond)
-				return seed ^ int64(i), nil
+				return statsOf(uint64(seed ^ int64(i))), nil
 			},
 		}
 	}
@@ -48,16 +68,12 @@ func testSpec(n int) Spec {
 }
 
 func TestRunnerDeterministicAcrossWorkerCounts(t *testing.T) {
-	run := func(workers int) []int64 {
+	run := func(workers int) []uint64 {
 		rep, err := Runner{Workers: workers}.Run(context.Background(), testSpec(24))
 		if err != nil {
 			t.Fatal(err)
 		}
-		vals, err := Collect[int64](rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return vals
+		return committed(t, rep)
 	}
 	serial := run(1)
 	for _, w := range []int{2, 8, 64} {
@@ -131,7 +147,7 @@ func TestSeedIndexGrouping(t *testing.T) {
 		}
 		// The trial really ran with the reported seed (testSpec returns
 		// seed ^ index).
-		if got := a.Value.(int64); got != a.Seed^int64(i) {
+		if got := a.Stats.Committed; got != uint64(a.Seed^int64(i)) {
 			t.Errorf("trial %d ran with a different seed than reported", i)
 		}
 	}
@@ -142,8 +158,8 @@ func TestRunnerErrorIsLowestIndex(t *testing.T) {
 	spec := testSpec(16)
 	// Two failures; the reported one must be the lower index no matter
 	// which completes first.
-	spec.Trials[3].Run = func(context.Context, int64) (any, error) { return nil, boom }
-	spec.Trials[9].Run = func(context.Context, int64) (any, error) { return nil, boom }
+	spec.Trials[3].Run = func(context.Context, int64) (*cpu.Stats, error) { return nil, boom }
+	spec.Trials[9].Run = func(context.Context, int64) (*cpu.Stats, error) { return nil, boom }
 	for _, w := range []int{1, 8} {
 		_, err := Runner{Workers: w}.Run(context.Background(), spec)
 		if !errors.Is(err, boom) {
@@ -169,7 +185,7 @@ func TestRunnerEmptyAndCancel(t *testing.T) {
 	}
 	ran := 0
 	for _, r := range rep.Results {
-		if r.Value != nil {
+		if r.Stats != nil {
 			ran++
 		}
 	}
@@ -186,7 +202,7 @@ func TestCancelReachesInFlightTrials(t *testing.T) {
 	started := make(chan struct{})
 	spec := Spec{Name: "cancel", Trials: []Trial{{
 		Label: "blocker",
-		Run: func(ctx context.Context, _ int64) (any, error) {
+		Run: func(ctx context.Context, _ int64) (*cpu.Stats, error) {
 			close(started)
 			<-ctx.Done() // a well-behaved long trial honours its context
 			return nil, ctx.Err()
@@ -218,12 +234,12 @@ func TestTrialFailureNotMaskedByCancellation(t *testing.T) {
 	boom := errors.New("boom")
 	blocked := make(chan struct{})
 	spec := Spec{Name: "mask", Trials: []Trial{
-		{Label: "innocent", Run: func(ctx context.Context, _ int64) (any, error) {
+		{Label: "innocent", Run: func(ctx context.Context, _ int64) (*cpu.Stats, error) {
 			close(blocked)
 			<-ctx.Done() // interrupted by the sibling's failure
 			return nil, ctx.Err()
 		}},
-		{Label: "guilty", Run: func(context.Context, int64) (any, error) {
+		{Label: "guilty", Run: func(context.Context, int64) (*cpu.Stats, error) {
 			<-blocked // fail only once the innocent trial is in flight
 			return nil, boom
 		}},
@@ -234,21 +250,5 @@ func TestTrialFailureNotMaskedByCancellation(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "guilty") {
 		t.Errorf("error %v does not name the failing trial", err)
-	}
-}
-
-func TestCollectTypeMismatch(t *testing.T) {
-	rep, err := Runner{Workers: 1}.Run(context.Background(), Spec{Trials: []Trial{
-		{Label: "s", Run: func(context.Context, int64) (any, error) { return "str", nil }},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Collect[int](rep); err == nil {
-		t.Error("type mismatch not reported")
-	}
-	vals, err := Collect[string](rep)
-	if err != nil || vals[0] != "str" {
-		t.Fatalf("collect: %v, %v", vals, err)
 	}
 }

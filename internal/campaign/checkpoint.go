@@ -2,12 +2,14 @@ package campaign
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"time"
 
+	"repro/internal/cpu"
 	"repro/internal/snap"
 )
 
@@ -26,6 +28,11 @@ import (
 // header record pins the campaign identity (name, seed, grid size,
 // caller-supplied config hash); resuming under a different campaign
 // fails with ErrCheckpointMismatch instead of silently mixing grids.
+//
+// A record stores its trial's Stats as encoding/json writes them. Stats
+// is flat counters (uint64s, float64s and a uint64 slice), all of which
+// encoding/json round-trips exactly, so resumed aggregates stay
+// bit-identical to an uninterrupted run's.
 type Checkpoint struct {
 	// Path is the journal file. It is created on first use; a non-empty
 	// existing journal is resumed from.
@@ -36,13 +43,6 @@ type Checkpoint struct {
 	// Trials are closures, so the runner cannot derive this itself; the
 	// caller must fold everything that changes trial outcomes into it.
 	Hash uint64
-
-	// Encode serialises a trial's Value for the journal; Decode is its
-	// inverse, used on resume. Both are required. The round trip must
-	// be exact — resumed aggregate statistics are only as bit-identical
-	// as this codec.
-	Encode func(v any) ([]byte, error)
-	Decode func(data []byte) (any, error)
 
 	// FlushEvery is the fsync batch size: the journal is synced to
 	// stable storage after this many appended records (and once more on
@@ -156,7 +156,7 @@ func headerFrame(spec Spec, hash uint64) []byte {
 	return frame(w.Finish())
 }
 
-// trialFrame encodes one completed trial with its pre-encoded value.
+// trialFrame encodes one completed trial with its JSON-encoded Stats.
 func trialFrame(res Result, value []byte) []byte {
 	w := snap.NewWriter(40 + len(value))
 	w.U8(recTrial)
@@ -175,9 +175,6 @@ func trialFrame(res Result, value []byte) []byte {
 func (c *Checkpoint) open(spec Spec, m *Metrics) (*journal, []Result, error) {
 	if c.Path == "" {
 		return nil, nil, errors.New("campaign: checkpoint has no path")
-	}
-	if c.Encode == nil || c.Decode == nil {
-		return nil, nil, errors.New("campaign: checkpoint needs both Encode and Decode")
 	}
 	f, err := os.OpenFile(c.Path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -222,7 +219,7 @@ func (c *Checkpoint) open(spec Spec, m *Metrics) (*journal, []Result, error) {
 }
 
 // resume validates the journal identity against spec and converts the
-// records into Results, decoding the stored values. Later records for
+// records into Results, decoding the stored Stats. Later records for
 // an index win (only possible if a crash raced the batch fsync).
 func (c *Checkpoint) resume(spec Spec, hdr *journalHeader, recs []journalRecord) ([]Result, error) {
 	mismatch := func(field, want, got string) error {
@@ -252,15 +249,15 @@ func (c *Checkpoint) resume(spec Spec, hdr *journalHeader, recs []journalRecord)
 		if want := spec.trialSeed(rec.index); rec.seed != want {
 			return nil, mismatch(fmt.Sprintf("trial %d seed", rec.index), fmt.Sprint(want), fmt.Sprint(rec.seed))
 		}
-		v, err := c.Decode(rec.value)
-		if err != nil {
+		st := new(cpu.Stats)
+		if err := json.Unmarshal(rec.value, st); err != nil {
 			return nil, fmt.Errorf("campaign: checkpoint %s: decode trial %d: %w", c.Path, rec.index, err)
 		}
 		res := Result{
 			Index:    rec.index,
 			Label:    spec.Trials[rec.index].Label,
 			Seed:     rec.seed,
-			Value:    v,
+			Stats:    st,
 			Elapsed:  rec.elapsed,
 			Attempts: rec.attempts,
 		}
@@ -309,11 +306,11 @@ func (j *journal) reset(header []byte) error {
 
 // append journals one successful trial. The caller serialises calls
 // (the runner appends under its completion mutex).
-func (j *journal) append(c *Checkpoint, res Result) {
+func (j *journal) append(res Result) {
 	if j.err != nil || j.closed {
 		return
 	}
-	value, err := c.Encode(res.Value)
+	value, err := json.Marshal(res.Stats)
 	if err != nil {
 		j.err = fmt.Errorf("encode trial %d: %w", res.Index, err)
 		return

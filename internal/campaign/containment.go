@@ -2,27 +2,30 @@ package campaign
 
 import (
 	"context"
+	"errors"
 	"runtime/debug"
 	"time"
 
 	"repro/internal/backoff"
+	"repro/internal/cpu"
 )
 
 // runTrial executes one trial under the runner's containment policy:
 // panics become *TrialPanicError, each attempt runs under the
-// per-trial deadline, and retryable failures (ErrTransient,
-// ErrTrialTimeout) are re-attempted up to Retries times with capped
-// doubling backoff. attempts reports how many attempts actually ran.
-func (r Runner) runTrial(ctx context.Context, t Trial, seed int64) (v any, attempts int, err error) {
+// per-trial deadline, and attempts that time out (ErrTrialTimeout —
+// a loaded host can cause one without the trial being wedged for good)
+// are re-attempted up to Retries times with capped doubling backoff.
+// attempts reports how many attempts actually ran.
+func (r Runner) runTrial(ctx context.Context, t Trial, seed int64) (st *cpu.Stats, attempts int, err error) {
 	wait := backoff.New(r.RetryBackoff, 50*time.Millisecond)
 	for {
 		attempts++
-		v, err = r.attempt(ctx, t, seed)
-		if err == nil || attempts > r.Retries || !retryable(err) || ctx.Err() != nil {
-			return v, attempts, err
+		st, err = r.attempt(ctx, t, seed)
+		if err == nil || attempts > r.Retries || !errors.Is(err, ErrTrialTimeout) || ctx.Err() != nil {
+			return st, attempts, err
 		}
 		if !wait.Wait(ctx) {
-			return v, attempts, err
+			return st, attempts, err
 		}
 	}
 }
@@ -35,7 +38,7 @@ func (r Runner) runTrial(ctx context.Context, t Trial, seed int64) (v any, attem
 // per-trial failure — except when the campaign context itself is
 // done, in which case the cancellation is passed through untouched so
 // an aborted campaign is not misread as a grid full of timeouts.
-func (r Runner) attempt(ctx context.Context, t Trial, seed int64) (v any, err error) {
+func (r Runner) attempt(ctx context.Context, t Trial, seed int64) (st *cpu.Stats, err error) {
 	actx := ctx
 	if r.TrialTimeout > 0 {
 		var cancel context.CancelFunc
@@ -47,10 +50,10 @@ func (r Runner) attempt(ctx context.Context, t Trial, seed int64) (v any, err er
 			err = &TrialPanicError{Value: p, Stack: string(debug.Stack())}
 		}
 	}()
-	v, err = t.Run(actx, seed)
+	st, err = t.Run(actx, seed)
 	if err != nil && r.TrialTimeout > 0 && isCancellation(err) &&
 		actx.Err() != nil && ctx.Err() == nil {
 		err = &TrialTimeoutError{Timeout: r.TrialTimeout}
 	}
-	return v, err
+	return st, err
 }

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/cpu"
 )
 
 // TestCheckpointSyncsOnCancelDrain is the graceful-shutdown regression
@@ -24,12 +26,9 @@ func TestCheckpointSyncsOnCancelDrain(t *testing.T) {
 	var syncs []int // records made durable per observed fsync
 	synced := make(chan struct{}, 8)
 
-	enc, dec := intCodec()
 	ck := &Checkpoint{
-		Path:   filepath.Join(t.TempDir(), "drain.ckpt"),
-		Hash:   7,
-		Encode: enc,
-		Decode: dec,
+		Path: filepath.Join(t.TempDir(), "drain.ckpt"),
+		Hash: 7,
 		// Far larger than the grid: no batch fsync can fire on its own,
 		// so any sync observed before Close is the drain path's.
 		FlushEvery: 1000,
@@ -50,25 +49,26 @@ func TestCheckpointSyncsOnCancelDrain(t *testing.T) {
 		i := i
 		trials[i] = Trial{
 			Label: "t",
-			Run: func(ctx context.Context, seed int64) (any, error) {
+			Run: func(ctx context.Context, seed int64) (*cpu.Stats, error) {
 				if i == quick {
 					// The slow in-flight trial: signals that the quick
-					// trials are all journaled (one worker, batch 1 —
-					// strictly sequential), then holds the drain open until
-					// the test has observed the cancellation-time fsync.
+					// trials are all journaled (one worker, batch 1 for
+					// a grid this small — strictly sequential), then
+					// holds the drain open until the test has observed
+					// the cancellation-time fsync.
 					// It completes successfully, so its journal append
 					// happens after cancellation and must sync at once.
 					close(inFlight)
 					<-release
 				}
-				return i, nil
+				return statsOf(uint64(i)), nil
 			},
 		}
 	}
 
 	runDone := make(chan error, 1)
 	go func() {
-		_, err := Runner{Workers: 1, Batch: 1, Checkpoint: ck, Contain: true}.
+		_, err := Runner{Workers: 1, Checkpoint: ck, Contain: true}.
 			Run(ctx, Spec{Name: "drain", Seed: 3, Trials: trials})
 		runDone <- err
 	}()

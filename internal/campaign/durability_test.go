@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -13,53 +14,35 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/cpu"
 )
 
-// intCodec journals int trial values as JSON for tests.
-func intCodec() (func(any) ([]byte, error), func([]byte) (any, error)) {
-	return func(v any) ([]byte, error) { return json.Marshal(v.(int)) },
-		func(data []byte) (any, error) {
-			var v int
-			err := json.Unmarshal(data, &v)
-			return v, err
-		}
-}
-
-// testCheckpoint builds a Checkpoint journaling ints under dir.
+// testCheckpoint builds a Checkpoint journaling under dir.
 func testCheckpoint(t *testing.T, dir string, hash uint64) *Checkpoint {
 	t.Helper()
-	enc, dec := intCodec()
-	return &Checkpoint{Path: filepath.Join(dir, "camp.ckpt"), Hash: hash, Encode: enc, Decode: dec}
+	return &Checkpoint{Path: filepath.Join(dir, "camp.ckpt"), Hash: hash}
 }
 
 // squareSpec is a deterministic n-trial campaign whose trial i returns
-// i*i; fail(i) non-nil injects failures.
+// statsOf(i*i); fail(i) non-nil injects failures.
 func squareSpec(n int, fail func(i int) error) Spec {
 	trials := make([]Trial, n)
 	for i := range trials {
 		i := i
 		trials[i] = Trial{
 			Label: fmt.Sprintf("sq/%d", i),
-			Run: func(ctx context.Context, seed int64) (any, error) {
+			Run: func(ctx context.Context, seed int64) (*cpu.Stats, error) {
 				if fail != nil {
 					if err := fail(i); err != nil {
 						return nil, err
 					}
 				}
-				return i * i, nil
+				return statsOf(uint64(i * i)), nil
 			},
 		}
 	}
 	return Spec{Name: "squares", Seed: 42, Trials: trials}
-}
-
-func collectInts(t *testing.T, rep *Report) []int {
-	t.Helper()
-	vals, err := Collect[int](rep)
-	if err != nil {
-		t.Fatalf("Collect: %v", err)
-	}
-	return vals
 }
 
 // ---------------------------------------------------------------------
@@ -67,7 +50,7 @@ func collectInts(t *testing.T, rep *Report) []int {
 
 func TestContainPanickingTrial(t *testing.T) {
 	spec := squareSpec(8, nil)
-	spec.Trials[3].Run = func(ctx context.Context, seed int64) (any, error) {
+	spec.Trials[3].Run = func(ctx context.Context, seed int64) (*cpu.Stats, error) {
 		panic("boom at trial 3")
 	}
 	rep, err := Runner{Workers: 2, Contain: true}.Run(context.Background(), spec)
@@ -95,8 +78,8 @@ func TestContainPanickingTrial(t *testing.T) {
 		if res.Err != nil {
 			t.Fatalf("trial %d contained failure leaked: %v", i, res.Err)
 		}
-		if res.Value != i*i {
-			t.Fatalf("trial %d value = %v, want %d", i, res.Value, i*i)
+		if got := res.Stats.Committed; got != uint64(i*i) {
+			t.Fatalf("trial %d value = %d, want %d", i, got, i*i)
 		}
 	}
 	fails := rep.Failures()
@@ -107,13 +90,14 @@ func TestContainPanickingTrial(t *testing.T) {
 
 func TestFailFastStopsDispatch(t *testing.T) {
 	boom := errors.New("hard failure")
-	spec := squareSpec(64, func(i int) error {
+	// 15 trials on one worker dispatch one trial at a time.
+	spec := squareSpec(15, func(i int) error {
 		if i == 0 {
 			return boom
 		}
 		return nil
 	})
-	rep, err := Runner{Workers: 1, Batch: 1}.Run(context.Background(), spec)
+	rep, err := Runner{Workers: 1}.Run(context.Background(), spec)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the trial failure", err)
 	}
@@ -130,7 +114,7 @@ func TestFailFastStopsDispatch(t *testing.T) {
 
 func TestPanicContainedEvenWithoutContain(t *testing.T) {
 	spec := squareSpec(4, nil)
-	spec.Trials[0].Run = func(ctx context.Context, seed int64) (any, error) { panic("kaboom") }
+	spec.Trials[0].Run = func(ctx context.Context, seed int64) (*cpu.Stats, error) { panic("kaboom") }
 	// Without Contain the campaign fails fast, but the panic must still
 	// be converted to an error instead of crashing the worker pool.
 	_, err := Runner{Workers: 2}.Run(context.Background(), spec)
@@ -141,7 +125,7 @@ func TestPanicContainedEvenWithoutContain(t *testing.T) {
 
 func TestTrialTimeout(t *testing.T) {
 	spec := squareSpec(4, nil)
-	spec.Trials[2].Run = func(ctx context.Context, seed int64) (any, error) {
+	spec.Trials[2].Run = func(ctx context.Context, seed int64) (*cpu.Stats, error) {
 		<-ctx.Done() // a wedged-but-cooperative trial
 		return nil, ctx.Err()
 	}
@@ -164,7 +148,7 @@ func TestTrialTimeout(t *testing.T) {
 func TestParentCancellationIsNotATimeout(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	spec := squareSpec(2, nil)
-	spec.Trials[0].Run = func(ctx context.Context, seed int64) (any, error) {
+	spec.Trials[0].Run = func(ctx context.Context, seed int64) (*cpu.Stats, error) {
 		cancel() // the campaign is aborted while this trial runs
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -178,19 +162,27 @@ func TestParentCancellationIsNotATimeout(t *testing.T) {
 	}
 }
 
-func TestRetryTransient(t *testing.T) {
-	attempts := map[int]int{}
-	spec := squareSpec(6, func(i int) error {
-		attempts[i]++
-		if i == 4 && attempts[i] <= 2 {
-			return fmt.Errorf("resource busy: %w", ErrTransient)
+// slowThenOK returns a trial whose first slow attempts outlive any
+// trial deadline (they end only when their context does) and whose
+// later attempts return statsOf(v) at once. calls counts the attempts.
+func slowThenOK(slow int, v uint64, calls *int) func(context.Context, int64) (*cpu.Stats, error) {
+	return func(ctx context.Context, seed int64) (*cpu.Stats, error) {
+		if *calls++; *calls <= slow {
+			<-ctx.Done()
+			return nil, ctx.Err()
 		}
-		return nil
-	})
-	rep, err := Runner{Workers: 1, Retries: 3, RetryBackoff: time.Millisecond}.
+		return statsOf(v), nil
+	}
+}
+
+func TestRetryTransient(t *testing.T) {
+	calls := 0
+	spec := squareSpec(6, nil)
+	spec.Trials[4].Run = slowThenOK(2, 16, &calls)
+	rep, err := Runner{Workers: 1, TrialTimeout: 20 * time.Millisecond, Retries: 3, RetryBackoff: time.Millisecond}.
 		Run(context.Background(), spec)
 	if err != nil {
-		t.Fatalf("retries should have recovered the transient failure: %v", err)
+		t.Fatalf("retries should have recovered the timed-out trial: %v", err)
 	}
 	if got := rep.Results[4].Attempts; got != 3 {
 		t.Fatalf("trial 4 attempts = %d, want 3", got)
@@ -198,21 +190,19 @@ func TestRetryTransient(t *testing.T) {
 	if got := rep.Results[2].Attempts; got != 1 {
 		t.Fatalf("healthy trial attempts = %d, want 1", got)
 	}
-	if vals := collectInts(t, rep); vals[4] != 16 {
+	if vals := committed(t, rep); vals[4] != 16 {
 		t.Fatalf("recovered trial value = %d, want 16", vals[4])
 	}
 }
 
 func TestRetryBudgetExhausted(t *testing.T) {
 	calls := 0
-	spec := squareSpec(1, func(i int) error {
-		calls++
-		return fmt.Errorf("still broken: %w", ErrTransient)
-	})
-	rep, err := Runner{Retries: 2, RetryBackoff: time.Millisecond, Contain: true}.
+	spec := squareSpec(1, nil)
+	spec.Trials[0].Run = slowThenOK(math.MaxInt, 0, &calls)
+	rep, err := Runner{TrialTimeout: 10 * time.Millisecond, Retries: 2, RetryBackoff: time.Millisecond, Contain: true}.
 		Run(context.Background(), spec)
-	if !errors.Is(err, ErrTransient) {
-		t.Fatalf("err = %v, want the exhausted transient failure", err)
+	if !errors.Is(err, ErrTrialTimeout) {
+		t.Fatalf("err = %v, want the exhausted timeout", err)
 	}
 	if calls != 3 {
 		t.Fatalf("trial ran %d times, want 1 + 2 retries", calls)
@@ -283,7 +273,7 @@ func TestCheckpointResumeSkipsCompletedTrials(t *testing.T) {
 	for i := range resumeSpec.Trials {
 		i := i
 		inner := resumeSpec.Trials[i].Run
-		resumeSpec.Trials[i].Run = func(ctx context.Context, seed int64) (any, error) {
+		resumeSpec.Trials[i].Run = func(ctx context.Context, seed int64) (*cpu.Stats, error) {
 			executed[i] = true
 			return inner(ctx, seed)
 		}
@@ -304,7 +294,7 @@ func TestCheckpointResumeSkipsCompletedTrials(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
-	if got, want := collectInts(t, rep2), collectInts(t, ref); !reflect.DeepEqual(got, want) {
+	if got, want := committed(t, rep2), committed(t, ref); !reflect.DeepEqual(got, want) {
 		t.Fatalf("resumed values %v != uninterrupted %v", got, want)
 	}
 
@@ -382,9 +372,9 @@ func TestCheckpointTornTailIsTruncated(t *testing.T) {
 		if len(executed) == 0 {
 			t.Fatalf("cut %d: torn final record should force at least one re-run", cut)
 		}
-		vals := collectInts(t, rep)
+		vals := committed(t, rep)
 		for i, v := range vals {
-			if v != i*i {
+			if v != uint64(i*i) {
 				t.Fatalf("cut %d: value[%d] = %d, want %d", cut, i, v, i*i)
 			}
 		}
@@ -425,8 +415,7 @@ func TestCheckpointCorruptHeaderStartsOver(t *testing.T) {
 	if err := os.WriteFile(path, []byte("garbage that is no journal"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	enc, dec := intCodec()
-	ck := &Checkpoint{Path: path, Hash: 1, Encode: enc, Decode: dec, FlushEvery: 1}
+	ck := &Checkpoint{Path: path, Hash: 1, FlushEvery: 1}
 	rep, err := Runner{Workers: 1, Checkpoint: ck}.Run(context.Background(), squareSpec(3, nil))
 	if err != nil || rep.Resumed != 0 {
 		t.Fatalf("unusable journal should start over: err=%v resumed=%d", err, rep.Resumed)
@@ -491,8 +480,7 @@ func TestCheckpointSurvivesSIGKILL(t *testing.T) {
 	}
 
 	// Resume in-process and check the grid completes correctly.
-	enc, dec := intCodec()
-	ck := &Checkpoint{Path: path, Hash: 99, Encode: enc, Decode: dec}
+	ck := &Checkpoint{Path: path, Hash: 99}
 	rep, err := Runner{Workers: 2, Checkpoint: ck}.Run(context.Background(), crashSpec())
 	if err != nil {
 		t.Fatalf("resume after SIGKILL: %v", err)
@@ -506,26 +494,25 @@ func TestCheckpointSurvivesSIGKILL(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
-	if got, want := collectInts(t, rep), collectInts(t, ref); !reflect.DeepEqual(got, want) {
+	if got, want := committed(t, rep), committed(t, ref); !reflect.DeepEqual(got, want) {
 		t.Fatalf("resumed values %v != uninterrupted %v", got, want)
 	}
 }
 
-// crashSpec is the grid the SIGKILL test runs in both processes.
+// crashSpec is the grid the SIGKILL test runs in both processes: small
+// enough that one worker dispatches one trial at a time.
 func crashSpec() Spec {
-	return squareSpec(32, nil)
+	return squareSpec(15, nil)
 }
 
 // crashChildMain runs the campaign with a checkpoint and SIGKILLs
 // itself after a handful of trials have been journaled.
 func crashChildMain() {
 	path := os.Getenv("CAMPAIGN_CRASH_CHILD")
-	enc, dec := intCodec()
-	ck := &Checkpoint{Path: path, Hash: 99, Encode: enc, Decode: dec, FlushEvery: 1}
+	ck := &Checkpoint{Path: path, Hash: 99, FlushEvery: 1}
 	done := 0
 	runner := Runner{
 		Workers:    1,
-		Batch:      1,
 		Checkpoint: ck,
 		Progress: func(d, total int, r Result) {
 			done = d
@@ -548,12 +535,14 @@ func crashChildMain() {
 // FuzzCheckpointDecode feeds arbitrary bytes to the journal parser:
 // it must never panic or over-allocate, and whatever prefix it accepts
 // must be internally consistent (indices parse back, offsets within
-// bounds).
+// bounds). Every accepted record then goes through resume against a
+// Spec built from the parsed header, so its value bytes reach the Stats
+// decode too; nothing there may panic either, and a decoded Stats must
+// survive re-encoding unchanged.
 func FuzzCheckpointDecode(f *testing.F) {
 	// Seed with a real journal: header + two records + torn tail.
 	dir := f.TempDir()
-	enc, dec := intCodec()
-	ck := &Checkpoint{Path: filepath.Join(dir, "seed.ckpt"), Hash: 5, Encode: enc, Decode: dec, FlushEvery: 1}
+	ck := &Checkpoint{Path: filepath.Join(dir, "seed.ckpt"), Hash: 5, FlushEvery: 1}
 	if _, err := (Runner{Workers: 1, Checkpoint: ck}).Run(context.Background(), squareSpec(2, nil)); err != nil {
 		f.Fatal(err)
 	}
@@ -565,6 +554,12 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add(data[:len(data)-3])
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	// A journal of real simulator Stats, written by ftsim.RunCampaign.
+	fixture, err := os.ReadFile("../../ftsim/testdata/campaign.ckpt")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fixture)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		hdr, recs, valid := parseJournal(data)
@@ -580,6 +575,35 @@ func FuzzCheckpointDecode(f *testing.F) {
 		if valid2 != valid || len(recs2) != len(recs) || (hdr == nil) != (hdr2 == nil) {
 			t.Fatalf("reparse of valid prefix diverged: %d/%d records, %d/%d bytes",
 				len(recs), len(recs2), valid, valid2)
+		}
+		if hdr == nil || hdr.trials > 1024 { // bound the Spec allocation
+			return
+		}
+		spec := Spec{Name: hdr.name, Seed: hdr.seed, Trials: make([]Trial, hdr.trials)}
+		ck := &Checkpoint{Path: "fuzz.ckpt", Hash: hdr.hash}
+		ck.resume(spec, hdr, recs) // as read: may refuse an index or seed
+		// With every in-range record's seed agreeing with the Spec, resume
+		// decodes every value.
+		var inRange []journalRecord
+		for _, rec := range recs {
+			if rec.index >= 0 && rec.index < hdr.trials {
+				rec.seed = spec.trialSeed(rec.index)
+				inRange = append(inRange, rec)
+			}
+		}
+		resumed, err := ck.resume(spec, hdr, inRange)
+		if err != nil {
+			return
+		}
+		for _, res := range resumed {
+			enc, err := json.Marshal(res.Stats)
+			if err != nil {
+				t.Fatalf("trial %d: re-encoding decoded stats: %v", res.Index, err)
+			}
+			again := new(cpu.Stats)
+			if err := json.Unmarshal(enc, again); err != nil || !reflect.DeepEqual(again, res.Stats) {
+				t.Fatalf("trial %d: decoded stats do not survive re-encoding (%v)", res.Index, err)
+			}
 		}
 	})
 }

@@ -26,13 +26,6 @@ var (
 	// or config hash) and refusing to resume from it is the only safe
 	// answer.
 	ErrCheckpointMismatch = errors.New("campaign: checkpoint belongs to a different campaign")
-
-	// ErrTransient marks a trial failure as retryable: wrap (or return)
-	// an error that errors.Is-matches ErrTransient and the runner's
-	// bounded retry (Runner.Retries) re-attempts the trial with backoff.
-	// Pool contention and resource exhaustion are the intended cases;
-	// deterministic simulation failures must not be marked transient.
-	ErrTransient = errors.New("campaign: transient trial failure")
 )
 
 // TrialPanicError is a panic converted into a per-trial error by the
@@ -80,10 +73,3 @@ func (e *CheckpointMismatchError) Error() string {
 
 // Unwrap makes errors.Is(err, ErrCheckpointMismatch) hold.
 func (e *CheckpointMismatchError) Unwrap() error { return ErrCheckpointMismatch }
-
-// retryable reports whether a failure is worth re-attempting: an
-// explicitly transient error, or a per-trial timeout (which a loaded
-// host can cause without the trial being wedged for good).
-func retryable(err error) bool {
-	return errors.Is(err, ErrTransient) || errors.Is(err, ErrTrialTimeout)
-}

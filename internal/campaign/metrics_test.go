@@ -10,40 +10,30 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cpu"
 	"repro/internal/obs"
 )
 
-// metricsCodec journals int trial values.
-func metricsCodec() (func(any) ([]byte, error), func([]byte) (any, error)) {
-	enc := func(v any) ([]byte, error) { return []byte(fmt.Sprint(v)), nil }
-	dec := func(data []byte) (any, error) {
-		var n int
-		_, err := fmt.Sscan(string(data), &n)
-		return n, err
-	}
-	return enc, dec
-}
-
 // TestMetricsClassifyOutcomes: the trials-total counter partitions by
-// outcome — ok, failed, panic, timeout — and retries are counted.
+// outcome — ok, failed, panic, timeout — and retries are counted. A
+// trial that times out once and then succeeds counts as ok.
 func TestMetricsClassifyOutcomes(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
 	boom := errors.New("boom")
+	flakyCalls := 0
 	spec := Spec{
 		Name: "outcomes",
 		Seed: 3,
 		Trials: []Trial{
-			{Label: "ok", Run: func(ctx context.Context, seed int64) (any, error) { return 1, nil }},
-			{Label: "fail", Run: func(ctx context.Context, seed int64) (any, error) { return nil, boom }},
-			{Label: "panic", Run: func(ctx context.Context, seed int64) (any, error) { panic("eek") }},
-			{Label: "slow", Run: func(ctx context.Context, seed int64) (any, error) {
+			{Label: "ok", Run: func(ctx context.Context, seed int64) (*cpu.Stats, error) { return statsOf(1), nil }},
+			{Label: "fail", Run: func(ctx context.Context, seed int64) (*cpu.Stats, error) { return nil, boom }},
+			{Label: "panic", Run: func(ctx context.Context, seed int64) (*cpu.Stats, error) { panic("eek") }},
+			{Label: "slow", Run: func(ctx context.Context, seed int64) (*cpu.Stats, error) {
 				<-ctx.Done() // only the per-trial deadline ends this
 				return nil, ctx.Err()
 			}},
-			{Label: "flaky", Run: func(ctx context.Context, seed int64) (any, error) {
-				return nil, fmt.Errorf("wobbly: %w", ErrTransient)
-			}},
+			{Label: "flaky", Run: slowThenOK(1, 1, &flakyCalls)},
 		},
 	}
 	r := Runner{
@@ -56,8 +46,8 @@ func TestMetricsClassifyOutcomes(t *testing.T) {
 	}
 
 	want := map[string]uint64{
-		OutcomeOK:      1,
-		OutcomeFailed:  2, // boom, plus flaky exhausting its retries
+		OutcomeOK:      2, // ok, plus flaky recovering on its retry
+		OutcomeFailed:  1,
 		OutcomePanic:   1,
 		OutcomeTimeout: 1,
 	}
@@ -66,13 +56,12 @@ func TestMetricsClassifyOutcomes(t *testing.T) {
 			t.Errorf("trials_total{outcome=%q} = %d, want %d", outcome, got, n)
 		}
 	}
-	// flaky: 1 first attempt + 2 retries = 2 extra attempts. The timeout
-	// trial is also retryable, so it consumes 2 more.
-	if got := m.retries.Value(); got != 4 {
-		t.Errorf("retries_total = %d, want 4", got)
+	// flaky: 1 extra attempt. slow: 2 extra attempts, all timing out.
+	if got := m.retries.Value(); got != 3 {
+		t.Errorf("retries_total = %d, want 3", got)
 	}
-	if got := m.trialSeconds.With(OutcomeOK).Count(); got != 1 {
-		t.Errorf("trial_seconds{ok} count = %d, want 1", got)
+	if got := m.trialSeconds.With(OutcomeOK).Count(); got != 2 {
+		t.Errorf("trial_seconds{ok} count = %d, want 2", got)
 	}
 }
 
@@ -80,14 +69,13 @@ func TestMetricsClassifyOutcomes(t *testing.T) {
 // and bytes; a resumed run counts restored trials.
 func TestMetricsCheckpointAndResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "m.ckpt")
-	enc, dec := metricsCodec()
 	mkSpec := func() Spec {
 		var trials []Trial
 		for i := 0; i < 6; i++ {
 			i := i
 			trials = append(trials, Trial{
 				Label: fmt.Sprintf("t%d", i),
-				Run:   func(ctx context.Context, seed int64) (any, error) { return i, nil },
+				Run:   func(ctx context.Context, seed int64) (*cpu.Stats, error) { return statsOf(uint64(i)), nil },
 			})
 		}
 		return Spec{Name: "ckpt", Seed: 9, Trials: trials}
@@ -97,7 +85,7 @@ func TestMetricsCheckpointAndResume(t *testing.T) {
 	m := NewMetrics(reg)
 	r := Runner{
 		Workers: 1, Metrics: m,
-		Checkpoint: &Checkpoint{Path: path, Encode: enc, Decode: dec, FlushEvery: 2},
+		Checkpoint: &Checkpoint{Path: path, FlushEvery: 2},
 	}
 	rep, err := r.Run(context.Background(), mkSpec())
 	if err != nil {
@@ -123,7 +111,7 @@ func TestMetricsCheckpointAndResume(t *testing.T) {
 	m2 := NewMetrics(reg2)
 	r2 := Runner{
 		Workers: 1, Metrics: m2,
-		Checkpoint: &Checkpoint{Path: path, Encode: enc, Decode: dec},
+		Checkpoint: &Checkpoint{Path: path},
 	}
 	rep2, err := r2.Run(context.Background(), mkSpec())
 	if err != nil {
@@ -148,8 +136,8 @@ func TestMetricsArePureTap(t *testing.T) {
 		for i := 0; i < 12; i++ {
 			trials = append(trials, Trial{
 				Label: fmt.Sprintf("t%d", i),
-				Run: func(ctx context.Context, seed int64) (any, error) {
-					return seed % 1000, nil
+				Run: func(ctx context.Context, seed int64) (*cpu.Stats, error) {
+					return statsOf(uint64(seed)), nil
 				},
 			})
 		}
@@ -164,8 +152,7 @@ func TestMetricsArePureTap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := Collect[int64](tapped)
-	want, _ := Collect[int64](plain)
+	got, want := committed(t, tapped), committed(t, plain)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("metrics tap perturbed results:\n got %v\nwant %v", got, want)
 	}

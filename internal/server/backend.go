@@ -99,7 +99,7 @@ func (b localBackend) Run(ctx context.Context, j *Job) (*Result, error) {
 			j.Publish(api.Event{Type: api.EventInterval, Trial: trial, Label: label, Interval: &iv})
 		}),
 		ftsim.WithCampaignProgress(func(done, total int, r ftsim.TrialResult) {
-			if r.Err != nil && !isCancellation(r.Err) {
+			if r.Failed() {
 				failed++
 			}
 			j.SetProgress(done, failed)

@@ -189,11 +189,6 @@ func (s *Server) nextQueued() *job {
 	}
 }
 
-// isCancellation reports a context cancellation/deadline error.
-func isCancellation(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
 // runJob executes one campaign: queued → running, then RunCampaign
 // with checkpointing, live progress and interval streaming, then the
 // terminal transition. A drain cancellation re-queues the job instead
