@@ -84,6 +84,19 @@ func newFUSet(cfg *Config) *fuSet {
 // get returns the pool for p, or nil for PoolNone.
 func (s *fuSet) get(p isa.Pool) *fuPool { return s.pools[p] }
 
+// fullMask returns the set of pools, bit p for pool p, that have no
+// free unit at cycle now. Pipelined units free up every cycle, so only
+// a busy unpipelined unit can put a pool here at the start of a cycle.
+func (s *fuSet) fullMask(now uint64) uint8 {
+	var full uint8
+	for p, pool := range s.pools {
+		if pool != nil && !pool.anyFree(now) {
+			full |= 1 << p
+		}
+	}
+	return full
+}
+
 // matches reports whether the set's unit counts equal cfg's, in which
 // case reset can reuse it instead of rebuilding.
 func (s *fuSet) matches(cfg *Config) bool {

@@ -31,9 +31,13 @@ func nextPow2(n int) int {
 //     fallback for latencies beyond the wheel), so writeback visits only
 //     the entries finishing this cycle (replaces the writeback scan);
 //   - readySet: one bitmap per issue class over the RUU ring slots,
-//     set by dispatch, wakeup and copy 0 load completion, so issue
-//     visits only ready entries, and skips a functional-unit pool once
-//     it is saturated for the cycle (replaces the issue scan).
+//     set by dispatch, wakeup and copy 0 load completion, plus one
+//     summary word per 64-slot row holding the OR of the row's classes,
+//     so issue visits only ready entries with one load per row, and
+//     never visits a functional-unit pool that has no free unit: a
+//     pool's class leaves the scan at the start of the cycle when every
+//     unit is busy, and as soon as an issue or a stall fills it
+//     (replaces the issue scan).
 //
 // Squash repair is lazy. Wait-list and calendar records carry the (ring
 // index, seq) pair of the entry they refer to, and a record whose seq no
@@ -64,7 +68,9 @@ const (
 	// bitmap words: readyClasses rounded up to 8, so the row of all
 	// classes' words for one 64-slot span fills one cache line.
 	classStride = 8
-	allClasses  = uint8(1)<<readyClasses - 1
+	// summary is the row word after the class words: the OR of them.
+	summary    = readyClasses
+	allClasses = uint8(1)<<readyClasses - 1
 )
 
 // issueClass returns the issue class of a dispatched entry.
@@ -78,9 +84,15 @@ func issueClass(e *Entry) int {
 // readySet holds the issuable entries: one bitmap per issue class over
 // the RUU ring slots, bit idx set when the entry at ring index idx is
 // waiting to issue. The bitmaps are word-interleaved — word w of class
-// c lives at words[w*classStride+c] — so the union of the classes for
-// one span of 64 slots is one cache line. Each class has max(1,
-// storage/64) words.
+// c lives at words[w*classStride+c] — and word w*classStride+summary is
+// the OR of the row's class words, so a row is one cache line and the
+// union of all classes is one load. Each class has max(1, storage/64)
+// words.
+//
+// A slot holds at most one class bit: an entry has one issue class for
+// its life, and dispatch clears the slot before it places a new entry
+// there. So add and remove keep the summary exact by setting and
+// clearing the slot's summary bit along with its class bit.
 type readySet struct {
 	words []uint64
 }
@@ -96,28 +108,39 @@ func (s *readySet) init(storage int) {
 }
 
 func (s *readySet) add(idx, class int) {
-	s.words[(idx>>6)*classStride+class] |= 1 << (idx & 63)
+	row := s.words[(idx>>6)*classStride:][:classStride]
+	bit := uint64(1) << (idx & 63)
+	row[class] |= bit
+	row[summary] |= bit
 }
 
 func (s *readySet) remove(idx, class int) {
-	s.words[(idx>>6)*classStride+class] &^= 1 << (idx & 63)
+	row := s.words[(idx>>6)*classStride:][:classStride]
+	bit := uint64(1) << (idx & 63)
+	row[class] &^= bit
+	row[summary] &^= bit
 }
 
-// clearSlot drops slot idx from every class.
+// clearSlot drops slot idx from every class. A slot in no class, the
+// common case at dispatch, costs one test of its summary bit.
 func (s *readySet) clearSlot(idx int) {
-	row := s.words[(idx>>6)*classStride:][:readyClasses]
+	row := s.words[(idx>>6)*classStride:][:classStride]
 	bit := uint64(1) << (idx & 63)
+	if row[summary]&bit == 0 {
+		return
+	}
 	for c := range row {
 		row[c] &^= bit
 	}
 }
 
-// union returns word w of the union of the classes in mask.
+// union returns word w of the union of the classes in mask: the
+// summary word less the words of the classes mask leaves out.
 func (s *readySet) union(w int, mask uint8) uint64 {
-	row := s.words[w*classStride:][:readyClasses]
-	var u uint64
-	for c, x := range row {
-		u |= x & -uint64(mask>>c&1)
+	row := s.words[w*classStride:][:classStride]
+	u := row[summary]
+	for out := allClasses &^ mask; out != 0; out &= out - 1 {
+		u &^= row[bits.TrailingZeros8(out)]
 	}
 	return u
 }
@@ -484,17 +507,19 @@ func (m *Machine) writebackEvent() {
 // union of the classes still being scanned, lowest bit first.
 //
 // Structural stalls (busy functional unit, blocked load) keep their
-// bit and retry next cycle. Once a stall leaves its pool without a free
-// unit, the pool's class is dropped for the rest of the cycle: every
-// later attempt on it would fail in pool.tryIssue, which returns before
-// the fault-injector roll and any LSQ or cache access, so skipping them
-// changes nothing but host time. Gated redundant load copies are parked
-// (bit cleared) and re-queued by their copy 0's completion; stale bits
-// (squashes, slot reuse) are cleared when visited.
+// bit and retry next cycle. A pool's class is left out of the walk
+// whenever the pool has no free unit: from the start of the cycle when
+// an unpipelined unit is still busy, and from the issue or stall that
+// fills it. Every attempt on such a pool would fail in pool.tryIssue,
+// which returns before the fault-injector roll and any LSQ or cache
+// access, so skipping them changes nothing but host time. Gated
+// redundant load copies are parked (bit cleared) and re-queued by their
+// copy 0's completion; stale bits (squashes, slot reuse) are cleared
+// when visited.
 func (m *Machine) issueEvent() {
 	s := &m.ready
 	budget := m.cfg.IssueWidth
-	active := allClasses
+	active := allClasses &^ m.fus.fullMask(m.cycle)
 	nw := len(s.words) / classStride // words per class
 	hw, hb := m.ruu.head>>6, uint(m.ruu.head&63)
 	for n := 0; n <= nw; n++ {
@@ -527,11 +552,11 @@ func (m *Machine) issueEvent() {
 				}
 			case issueParked:
 				s.remove(idx, class)
-			case issueStall:
-				if p := m.fus.get(e.OI.Pool); p != nil && !p.anyFree(m.cycle) {
-					active &^= 1 << e.OI.Pool
-					pending &= s.union(w, active)
-				}
+				continue
+			}
+			if p := m.fus.get(e.OI.Pool); p != nil && !p.anyFree(m.cycle) {
+				active &^= 1 << e.OI.Pool
+				pending &= s.union(w, active)
 			}
 		}
 	}

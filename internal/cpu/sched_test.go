@@ -1,6 +1,9 @@
 package cpu
 
 import (
+	"fmt"
+	"math/bits"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -107,9 +110,11 @@ func (h *issueHarness) ready(idx, class int) bool {
 
 // TestReadySetScanOrder pins the issue stage's walk over the ready set:
 // oldest first from a head in the second bitmap word, wrapping into the
-// first; a saturated pool's class dropped for the rest of the cycle
-// while the other classes carry on; and a gated redundant load copy
-// parked, then re-queued by its copy 0's completion.
+// first; a saturated pool's class dropped for the rest of the cycle as
+// soon as an issue fills it, while the other classes carry on; a pool
+// whose unpipelined units are all still busy left out from the start
+// of the cycle; a gated redundant load copy parked, then re-queued by
+// its copy 0's completion; and the union of any subset of classes.
 func TestReadySetScanOrder(t *testing.T) {
 	t.Run("wrap-and-saturate", func(t *testing.T) {
 		// RUU 128 is two words; the head at slot 124 is in word 1, so
@@ -128,10 +133,10 @@ func TestReadySetScanOrder(t *testing.T) {
 		h.m.ready.add(41, int(isa.PoolFPAdd))
 
 		h.m.issueEvent()
-		// Two IntMult units: seqs 1 and 3 issue and seq 4 stalls, which
-		// drops the class, so seq 6 is never attempted. Four IntALU
-		// units: seqs 2, 5, 7 and 8 issue, seq 9 stalls. The nop needs no
-		// unit.
+		// Two IntMult units: seqs 1 and 3 issue, which fills the pool
+		// and drops the class, so seqs 4 and 6 are never attempted. Four
+		// IntALU units: seqs 2, 5, 7 and 8 issue and drop theirs, so seq
+		// 9 is never attempted. The nop needs no unit.
 		want := []uint64{1, 2, 3, 5, 7, 8, 10}
 		if got := h.issued(1); !slices.Equal(got, want) {
 			t.Fatalf("issue order %v, want %v", got, want)
@@ -141,9 +146,9 @@ func TestReadySetScanOrder(t *testing.T) {
 			set        bool
 		}{
 			{124, int(isa.PoolIntMult), false}, // issued
-			{127, int(isa.PoolIntMult), true},  // stalled
+			{127, int(isa.PoolIntMult), true},  // skipped
 			{1, int(isa.PoolIntMult), true},    // skipped
-			{4, int(isa.PoolIntALU), true},     // stalled
+			{4, int(isa.PoolIntALU), true},     // skipped
 			{5, int(isa.PoolNone), false},      // issued
 			{40, int(isa.PoolIntMult), true},   // class dropped before slot 40
 			{41, int(isa.PoolFPAdd), false},    // visited and cleared
@@ -153,13 +158,85 @@ func TestReadySetScanOrder(t *testing.T) {
 			}
 		}
 
-		// Next cycle the units are free again; the stalled entries issue
-		// oldest first, the skipped one included.
+		// Next cycle the units are free again; the skipped entries issue
+		// oldest first.
 		h.m.cycle++
 		h.m.issueEvent()
 		if got, want := h.issued(2), []uint64{4, 6, 9}; !slices.Equal(got, want) {
 			t.Fatalf("cycle 2 issue order %v, want %v", got, want)
 		}
+	})
+
+	t.Run("busy-divider", func(t *testing.T) {
+		// Both IntMult units take a divide in cycle 1 and stay busy for
+		// its whole latency, so from cycle 2 the class is out of the walk
+		// before it starts: a stale bit on the oldest slot, which any
+		// visit would clear, survives until a divider frees.
+		h := newIssueHarness(t, ModelSS1.Config(), 0)
+		div := func(rd uint8) isa.Inst { return isa.Inst{Op: isa.OpDiv, Rd: rd} }
+		h.dispatch(div(1), div(2), div(3)) // slots 0..2, seqs 1..3
+		h.m.issueEvent()
+		if got := h.issued(1); !slices.Equal(got, []uint64{1, 2}) {
+			t.Fatalf("cycle 1 issued %v, want [1 2]", got)
+		}
+		h.m.ready.add(0, int(isa.PoolIntMult)) // seq 1 already issued
+		free := h.m.ruu.at(0).DoneAt
+		for h.m.cycle = 2; h.m.cycle < free; h.m.cycle++ {
+			h.m.issueEvent()
+			if !h.ready(0, int(isa.PoolIntMult)) || !h.ready(2, int(isa.PoolIntMult)) {
+				t.Fatalf("cycle %d: a busy pool's class was visited", h.m.cycle)
+			}
+		}
+		h.m.issueEvent()
+		if got := h.issued(free); !slices.Equal(got, []uint64{3}) {
+			t.Fatalf("cycle %d issued %v, want [3]", free, got)
+		}
+		if h.ready(0, int(isa.PoolIntMult)) {
+			t.Fatal("stale bit survived a visit")
+		}
+	})
+
+	t.Run("union-of-classes", func(t *testing.T) {
+		// Four words of random single-class bits: for every word and
+		// every class subset, union must equal the OR of the subset's
+		// words, before and after slots leave the set.
+		var s readySet
+		s.init(256)
+		rng := rand.New(rand.NewSource(7))
+		class := make([]int, 256)
+		for idx := range class {
+			class[idx] = rng.Intn(readyClasses)
+			if rng.Intn(3) != 0 {
+				s.add(idx, class[idx])
+			}
+		}
+		check := func() {
+			t.Helper()
+			if err := s.check(); err != nil {
+				t.Fatal(err)
+			}
+			for w := range 4 {
+				for mask := uint8(0); mask <= allClasses; mask++ {
+					var want uint64
+					for c := range readyClasses {
+						if mask>>c&1 != 0 {
+							want |= s.words[w*classStride+c]
+						}
+					}
+					if got := s.union(w, mask); got != want {
+						t.Fatalf("union(%d, %#b) = %#x, want %#x", w, mask, got, want)
+					}
+				}
+			}
+		}
+		check()
+		for idx := 0; idx < 256; idx += 3 {
+			s.clearSlot(idx)
+		}
+		for idx := 1; idx < 256; idx += 5 {
+			s.remove(idx, class[idx])
+		}
+		check()
 	})
 
 	t.Run("gated-load-copy", func(t *testing.T) {
@@ -196,6 +273,27 @@ func TestReadySetScanOrder(t *testing.T) {
 			t.Fatal("issued copy 1 kept its ready bit")
 		}
 	})
+}
+
+// check reports the first slot that breaks the ready set's invariant:
+// at most one class bit per slot, and each row's summary word equal to
+// the OR of its class words. requireKernelsAgree runs it after every
+// cycle of the event kernel.
+func (s *readySet) check() error {
+	for r := 0; r < len(s.words); r += classStride {
+		var or, twice uint64
+		for _, x := range s.words[r : r+readyClasses] {
+			twice |= or & x
+			or |= x
+		}
+		if twice != 0 {
+			return fmt.Errorf("ready set: slot %d holds two class bits", r/classStride*64+bits.TrailingZeros64(twice))
+		}
+		if sum := s.words[r+summary]; sum != or {
+			return fmt.Errorf("ready set: row %d summary %#x, classes %#x", r/classStride, sum, or)
+		}
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------

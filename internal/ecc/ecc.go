@@ -149,23 +149,34 @@ func FlipCheckBit(w Word, j uint) Word {
 // Reg is an ECC-protected register: every read is decoded and corrected.
 // It models structures like the committed next-PC register that the
 // paper requires to be information-redundant.
+//
+// The check bits are computed lazily. Set stores the value and marks it
+// fresh; a fresh value cannot hold an upset, so Get returns it without
+// decoding. Upset encodes a fresh value before it flips a bit. Every
+// sequence of Set, Get and Upset therefore gives the values, ok results
+// and CorrectedCount of a register that encodes on every Set, at no
+// encode or decode cost for the sequences no upset reaches.
 type Reg struct {
-	w Word
+	w     Word
+	fresh bool // w.Data was stored by Set or scrubbed; w.Check is stale
 	// CorrectedCount counts reads that required single-bit correction.
 	CorrectedCount uint64
 }
 
-// Set stores v with fresh check bits.
-func (r *Reg) Set(v uint64) { r.w = Encode(v) }
+// Set stores v; its check bits are computed when an upset needs them.
+func (r *Reg) Set(v uint64) { r.w.Data, r.fresh = v, true }
 
 // Get decodes the stored word, correcting a single-bit upset if present.
 // ok is false if the value was uncorrectable.
 func (r *Reg) Get() (v uint64, ok bool) {
+	if r.fresh {
+		return r.w.Data, true
+	}
 	v, st := Decode(r.w)
 	switch st {
 	case Corrected:
 		r.CorrectedCount++
-		r.w = Encode(v) // scrub
+		r.Set(v) // scrub
 	case Uncorrectable:
 		return v, false
 	}
@@ -173,4 +184,16 @@ func (r *Reg) Get() (v uint64, ok bool) {
 }
 
 // Upset flips data bit i in the stored word (for fault-injection tests).
-func (r *Reg) Upset(i uint) { r.w = FlipDataBit(r.w, i) }
+func (r *Reg) Upset(i uint) {
+	w := r.encoded()
+	*w = FlipDataBit(*w, i)
+}
+
+// encoded computes the check bits of a fresh value and returns the
+// stored codeword, ready for an upset.
+func (r *Reg) encoded() *Word {
+	if r.fresh {
+		r.w, r.fresh = Encode(r.w.Data), false
+	}
+	return &r.w
+}

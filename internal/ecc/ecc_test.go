@@ -1,6 +1,7 @@
 package ecc
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -220,6 +221,76 @@ func TestMatchesReference(t *testing.T) {
 			check(wi)
 			for j := i + 1; j < 72; j++ {
 				check(flip(wi, j))
+			}
+		}
+	}
+}
+
+// eagerReg is the register Reg must behave as: it encodes on every Set
+// and decodes on every Get.
+type eagerReg struct {
+	w         Word
+	corrected uint64
+}
+
+func (r *eagerReg) get() (uint64, bool) {
+	v, st := Decode(r.w)
+	switch st {
+	case Corrected:
+		r.corrected++
+		r.w = Encode(v)
+	case Uncorrectable:
+		return v, false
+	}
+	return v, true
+}
+
+// TestRegMatchesEager drives random Set/Get/Upset sequences through Reg
+// and through an eagerly encoding reference. Upsets hit data and check
+// bits, and several may land between two reads, so single, double and
+// wider flips all occur. Every Get must agree in value and ok, the
+// correction counts must agree after every step, and once Reg has
+// encoded, its codeword must be the reference's bit for bit.
+func TestRegMatchesEager(t *testing.T) {
+	rng := rand.New(rand.NewSource(72))
+	for seq := 0; seq < 3000; seq++ {
+		var lazy Reg
+		var ref eagerReg
+		var ops []string
+		for step := 0; step < 24; step++ {
+			switch k := rng.Intn(8); {
+			case k < 2:
+				v := rng.Uint64()
+				if rng.Intn(4) == 0 {
+					v = uint64(rng.Intn(4)) // sparse words too
+				}
+				lazy.Set(v)
+				ref.w = Encode(v)
+				ops = append(ops, fmt.Sprintf("Set(%#x)", v))
+			case k < 5:
+				i := uint(rng.Intn(64))
+				lazy.Upset(i)
+				ref.w = FlipDataBit(ref.w, i)
+				ops = append(ops, fmt.Sprintf("Upset(%d)", i))
+			case k < 6:
+				j := uint(rng.Intn(8))
+				w := lazy.encoded()
+				*w = FlipCheckBit(*w, j)
+				ref.w = FlipCheckBit(ref.w, j)
+				ops = append(ops, fmt.Sprintf("flipCheck(%d)", j))
+			default:
+				v, ok := lazy.Get()
+				rv, rok := ref.get()
+				ops = append(ops, "Get")
+				if v != rv || ok != rok {
+					t.Fatalf("%v: Get = %#x, %v; eager %#x, %v", ops, v, ok, rv, rok)
+				}
+			}
+			if lazy.CorrectedCount != ref.corrected {
+				t.Fatalf("%v: CorrectedCount %d, eager %d", ops, lazy.CorrectedCount, ref.corrected)
+			}
+			if !lazy.fresh && lazy.w != ref.w {
+				t.Fatalf("%v: codeword %+v, eager %+v", ops, lazy.w, ref.w)
 			}
 		}
 	}

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Run the simulator's tracking benchmarks and record them in the bench
-# trajectory file (BENCH_PR9.json and predecessors) under a label
+# trajectory file (BENCH_PR26.json and predecessors) under a label
 # (default "after"), optionally gating the fresh numbers against a
 # recorded baseline.
 #
@@ -9,7 +9,8 @@
 #
 # Environment:
 #   BENCH_TIME             go test -benchtime value (default 2s; CI uses 1x)
-#   BENCH_PATTERN          benchmark regexp (default Campaign|PipelineHot|SimulatorThroughput)
+#   BENCH_PATTERN          benchmark regexp (default
+#                          Campaign|PipelineHot|SimulatorThroughput|Fig6FaultSweep)
 #   BENCH_GATE             baseline JSON to gate against (empty = no gate)
 #   BENCH_GATE_LABEL       label inside the baseline file (default after)
 #   BENCH_ALLOC_THRESHOLD  max fractional allocs/op growth (default 0.10)
@@ -21,9 +22,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 label="${1:-after}"
-out="${2:-BENCH_PR9.json}"
+out="${2:-BENCH_PR26.json}"
 benchtime="${BENCH_TIME:-2s}"
-pattern="${BENCH_PATTERN:-Campaign|PipelineHot|SimulatorThroughput}"
+pattern="${BENCH_PATTERN:-Campaign|PipelineHot|SimulatorThroughput|Fig6FaultSweep}"
 
 gate_args=()
 if [ -n "${BENCH_GATE:-}" ]; then
