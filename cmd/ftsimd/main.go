@@ -4,7 +4,8 @@
 // or a bare machine config (the ftsim/testdata golden files are valid
 // bodies as-is) — and the daemon queues them onto the campaign engine,
 // streams per-interval samples and per-trial completions as SSE, and
-// journals completed trials under -data-dir so a killed or restarted
+// keeps one journal file per job under -data-dir (the submission, the
+// completed trials and the final status) so a killed or restarted
 // daemon resumes unfinished campaigns where they stopped.
 //
 //	ftsimd -addr :8080 -data-dir /var/lib/ftsimd
@@ -83,7 +84,7 @@ func splitURLs(s string) []string {
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
-	dataDir := flag.String("data-dir", "", "persistence root for job envelopes and checkpoint journals (empty = ephemeral)")
+	dataDir := flag.String("data-dir", "", "persistence root, one journal file per job (empty = ephemeral)")
 	queue := flag.Int("queue", 64, "max queued jobs across all clients")
 	jobs := flag.Int("jobs", 1, "campaigns running concurrently")
 	workers := flag.Int("workers", 0, "default worker goroutines per campaign (0 = GOMAXPROCS)")

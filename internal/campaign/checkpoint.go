@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"time"
 
 	"repro/internal/cpu"
@@ -55,10 +57,14 @@ type Checkpoint struct {
 	syncHook func(flushed int)
 }
 
-// Journal record kinds. The header is always the first frame.
+// Journal record kinds. The header is the first frame that is not a
+// note; trial frames follow it. A note is an opaque payload that the
+// runner keeps and skips: ftsimd stores its own job records in them
+// (see AppendNote), before the header and after any trial frame.
 const (
 	recHeader = 1
 	recTrial  = 2
+	recNote   = 3
 )
 
 // journalHeader is the campaign identity pinned by the first frame.
@@ -79,18 +85,22 @@ type journalRecord struct {
 }
 
 // parseJournal scans data as a sequence of [u32 length][snap blob]
-// frames: a header frame followed by trial frames. It stops at the
-// first frame that is truncated, corrupt, or of an unexpected kind,
-// and returns the records of the valid prefix plus that prefix's byte
-// length — the offset a resuming writer truncates to. A missing or
-// broken header yields (nil, nil, 0): the journal is unusable and is
-// started over. parseJournal never allocates proportionally to
+// frames: a header frame followed by trial frames, with note frames
+// anywhere among them. It stops at the first frame that is truncated,
+// corrupt, or of an unexpected kind, and returns the header, trial
+// records and notes of the valid prefix plus that prefix's byte length
+// — the offset a resuming writer truncates to. A missing or broken
+// header yields a nil header and the leading notes, and the prefix ends
+// after them: the campaign part of the journal is unusable and is
+// started over there. parseJournal never allocates proportionally to
 // claimed (rather than actual) lengths, so it is safe on hostile
-// input; returned value slices alias data.
-func parseJournal(data []byte) (*journalHeader, []journalRecord, int64) {
+// input; returned value and note slices alias data.
+func parseJournal(data []byte) (*journalHeader, []journalRecord, [][]byte, int64) {
 	off := 0
 	var hdr *journalHeader
 	var recs []journalRecord
+	var notes [][]byte
+scan:
 	for {
 		if len(data)-off < 4 {
 			break
@@ -106,36 +116,36 @@ func parseJournal(data []byte) (*journalHeader, []journalRecord, int64) {
 		if err != nil {
 			break
 		}
-		if hdr == nil {
-			if r.U8() != recHeader {
-				break
+		switch kind := r.U8(); {
+		case kind == recNote:
+			note := r.Bytes()
+			if r.Done() != nil {
+				break scan
 			}
+			notes = append(notes, note)
+		case hdr == nil && kind == recHeader:
 			h := journalHeader{name: r.String(), seed: r.I64()}
 			h.trials = int(r.U32())
 			h.hash = r.U64()
 			if r.Done() != nil {
-				break
+				break scan
 			}
 			hdr = &h
-		} else {
-			if r.U8() != recTrial {
-				break
-			}
+		case hdr != nil && kind == recTrial:
 			rec := journalRecord{index: int(r.U32()), seed: r.I64()}
 			rec.attempts = int(r.U32())
 			rec.elapsed = time.Duration(r.I64())
 			rec.value = r.Bytes()
 			if r.Done() != nil {
-				break
+				break scan
 			}
 			recs = append(recs, rec)
+		default:
+			break scan
 		}
 		off += 4 + n
 	}
-	if hdr == nil {
-		return nil, nil, 0
-	}
-	return hdr, recs, int64(off)
+	return hdr, recs, notes, int64(off)
 }
 
 // frame wraps a snap payload in its length prefix.
@@ -168,6 +178,80 @@ func trialFrame(res Result, value []byte) []byte {
 	return frame(w.Finish())
 }
 
+// noteFrame encodes an opaque note.
+func noteFrame(note []byte) []byte {
+	w := snap.NewWriter(8 + len(note))
+	w.U8(recNote)
+	w.Bytes(note)
+	return frame(w.Finish())
+}
+
+// AppendNote appends note to the journal at path and syncs it, creating
+// the file if there is none. A torn tail is dropped first, so the note
+// lands on a frame boundary. The caller must not append while a Runner
+// has the journal open.
+func AppendNote(path string, note []byte) error {
+	f, err := openFile(path)
+	if err != nil {
+		return fmt.Errorf("campaign: journal: %w", err)
+	}
+	data, err := io.ReadAll(f)
+	if err == nil {
+		_, _, _, valid := parseJournal(data)
+		if err = f.Truncate(valid); err == nil {
+			if _, err = f.WriteAt(noteFrame(note), valid); err == nil {
+				err = f.Sync()
+			}
+		}
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("campaign: journal %s: append note: %w", path, err)
+	}
+	return nil
+}
+
+// ReadNotes returns the notes of the journal at path, in the order they
+// were appended, up to the first torn or corrupt frame. A missing file
+// has none.
+func ReadNotes(path string) ([][]byte, error) {
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	_, _, notes, _ := parseJournal(data)
+	return notes, nil
+}
+
+// openFile opens path for reading and writing, creating it if needed.
+// When it creates the file it also fsyncs the directory: the file's own
+// fsyncs do not make its directory entry durable, so without this a
+// power loss could drop a journal whose records were all synced.
+func openFile(path string) (*os.File, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	if errors.Is(err, fs.ErrExist) {
+		return os.OpenFile(path, os.O_RDWR, 0)
+	}
+	if err != nil {
+		return nil, err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err == nil {
+		err = dir.Sync()
+		dir.Close()
+	}
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("sync directory of %s: %w", path, err)
+	}
+	return f, nil
+}
+
 // open prepares the journal for spec: it validates or (re)writes the
 // header, converts the journal's valid prefix into resumed Results,
 // truncates any torn tail, and returns a writer positioned for
@@ -176,7 +260,7 @@ func (c *Checkpoint) open(spec Spec, m *Metrics) (*journal, []Result, error) {
 	if c.Path == "" {
 		return nil, nil, errors.New("campaign: checkpoint has no path")
 	}
-	f, err := os.OpenFile(c.Path, os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := openFile(c.Path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("campaign: checkpoint: %w", err)
 	}
@@ -185,15 +269,16 @@ func (c *Checkpoint) open(spec Spec, m *Metrics) (*journal, []Result, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("campaign: checkpoint %s: read: %w", c.Path, err)
 	}
-	hdr, recs, valid := parseJournal(data)
+	hdr, recs, _, valid := parseJournal(data)
 	j := &journal{f: f, flushEvery: c.FlushEvery, syncHook: c.syncHook, metrics: m}
 	if j.flushEvery <= 0 {
 		j.flushEvery = 32
 	}
 	if hdr == nil {
-		// Empty file, or a header torn by a crash during the very first
-		// write: nothing completed under it, so start the journal over.
-		if err := j.reset(headerFrame(spec, c.Hash)); err != nil {
+		// Empty file, notes only, or a header torn by a crash during the
+		// very first write: nothing completed under it, so start the
+		// campaign over after the leading notes.
+		if err := j.reset(valid, headerFrame(spec, c.Hash)); err != nil {
 			f.Close()
 			return nil, nil, fmt.Errorf("campaign: checkpoint %s: init: %w", c.Path, err)
 		}
@@ -286,12 +371,13 @@ type journal struct {
 	metrics      *Metrics
 }
 
-// reset truncates the file and writes a fresh header, synced.
-func (j *journal) reset(header []byte) error {
-	if err := j.f.Truncate(0); err != nil {
+// reset truncates the file at off and writes a fresh header there,
+// synced.
+func (j *journal) reset(off int64, header []byte) error {
+	if err := j.f.Truncate(off); err != nil {
 		return err
 	}
-	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
+	if _, err := j.f.Seek(off, io.SeekStart); err != nil {
 		return err
 	}
 	if _, err := j.f.Write(header); err != nil {

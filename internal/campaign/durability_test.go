@@ -427,6 +427,66 @@ func TestCheckpointCorruptHeaderStartsOver(t *testing.T) {
 	}
 }
 
+// TestCheckpointKeepsNotes: notes appended around a campaign's frames
+// survive its runs, torn tails and a torn header, and never disturb a
+// resume.
+func TestCheckpointKeepsNotes(t *testing.T) {
+	dir := t.TempDir()
+	ck := testCheckpoint(t, dir, 1)
+	ck.FlushEvery = 1
+	appendNote := func(note string) {
+		t.Helper()
+		if err := AppendNote(ck.Path, []byte(note)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantNotes := func(want ...string) {
+		t.Helper()
+		notes, err := ReadNotes(ck.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, n := range notes {
+			got = append(got, string(n))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("notes %q, want %q", got, want)
+		}
+	}
+	tear := func(b []byte) {
+		t.Helper()
+		f, err := os.OpenFile(ck.Path, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Write(b)
+		f.Close()
+	}
+	run := func(wantResumed int) {
+		t.Helper()
+		rep, err := Runner{Workers: 1, Checkpoint: ck}.Run(context.Background(), squareSpec(3, nil))
+		if err != nil || rep.Resumed != wantResumed {
+			t.Fatalf("run: err=%v resumed=%d, want %d", err, rep.Resumed, wantResumed)
+		}
+	}
+
+	// Notes before the header: a torn header after them starts the
+	// campaign over, and the notes stay.
+	appendNote("one")
+	tear(headerFrame(squareSpec(3, nil), 1)[:10])
+	run(0)
+	wantNotes("one")
+	appendNote("two")
+	run(3)
+	// A torn tail is dropped before a note lands.
+	tear([]byte{9, 0, 0, 0, 1})
+	appendNote("three")
+	wantNotes("one", "two", "three")
+	run(3)
+	wantNotes("one", "two", "three")
+}
+
 func TestCheckpointFailedTrialsAreNotJournaled(t *testing.T) {
 	dir := t.TempDir()
 	ck := testCheckpoint(t, dir, 1)
@@ -443,7 +503,7 @@ func TestCheckpointFailedTrialsAreNotJournaled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, recs, _ := parseJournal(data)
+	_, recs, _, _ := parseJournal(data)
 	for _, rec := range recs {
 		if rec.index == 1 {
 			t.Fatal("failed trial was journaled; resume would wrongly skip it")
@@ -535,10 +595,11 @@ func crashChildMain() {
 // FuzzCheckpointDecode feeds arbitrary bytes to the journal parser:
 // it must never panic or over-allocate, and whatever prefix it accepts
 // must be internally consistent (indices parse back, offsets within
-// bounds). Every accepted record then goes through resume against a
-// Spec built from the parsed header, so its value bytes reach the Stats
-// decode too; nothing there may panic either, and a decoded Stats must
-// survive re-encoding unchanged.
+// bounds, the same notes). ReadNotes reads the same bytes from a file
+// and must agree. Every accepted record then goes through resume
+// against a Spec built from the parsed header, so its value bytes reach
+// the Stats decode too; nothing there may panic either, and a decoded
+// Stats must survive re-encoding unchanged.
 func FuzzCheckpointDecode(f *testing.F) {
 	// Seed with a real journal: header + two records + torn tail.
 	dir := f.TempDir()
@@ -560,9 +621,22 @@ func FuzzCheckpointDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(fixture)
+	// A daemon job log: a note before the header, one between the two
+	// trial frames and one after them.
+	hdrEnd := 4 + int(binary.LittleEndian.Uint32(data))
+	trialEnd := hdrEnd + 4 + int(binary.LittleEndian.Uint32(data[hdrEnd:]))
+	first := noteFrame([]byte(`{"id":"c1","state":"queued"}`))
+	jobLog := append([]byte{}, first...)
+	jobLog = append(jobLog, data[:trialEnd]...)
+	jobLog = append(jobLog, noteFrame([]byte(`{"id":"c1"}`))...)
+	jobLog = append(jobLog, data[trialEnd:]...)
+	jobLog = append(jobLog, noteFrame([]byte(`{"state":"done"}`))...)
+	f.Add(jobLog)
+	f.Add(jobLog[:len(first)+hdrEnd-3]) // a note, then a torn header
 
+	path := filepath.Join(dir, "notes.ckpt")
 	f.Fuzz(func(t *testing.T, data []byte) {
-		hdr, recs, valid := parseJournal(data)
+		hdr, recs, notes, valid := parseJournal(data)
 		if valid < 0 || valid > int64(len(data)) {
 			t.Fatalf("valid offset %d out of bounds [0,%d]", valid, len(data))
 		}
@@ -570,11 +644,19 @@ func FuzzCheckpointDecode(f *testing.F) {
 			t.Fatal("records without a header")
 		}
 		// The accepted prefix must reparse to the same result (the
-		// resume path truncates to it and reads again).
-		hdr2, recs2, valid2 := parseJournal(data[:valid])
-		if valid2 != valid || len(recs2) != len(recs) || (hdr == nil) != (hdr2 == nil) {
-			t.Fatalf("reparse of valid prefix diverged: %d/%d records, %d/%d bytes",
-				len(recs), len(recs2), valid, valid2)
+		// resume path and AppendNote truncate to it and read again).
+		hdr2, recs2, notes2, valid2 := parseJournal(data[:valid])
+		if valid2 != valid || len(recs2) != len(recs) || (hdr == nil) != (hdr2 == nil) ||
+			!reflect.DeepEqual(notes2, notes) {
+			t.Fatalf("reparse of valid prefix diverged: %d/%d records, %d/%d notes, %d/%d bytes",
+				len(recs), len(recs2), len(notes), len(notes2), valid, valid2)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		read, err := ReadNotes(path)
+		if err != nil || !reflect.DeepEqual(read, notes) {
+			t.Fatalf("ReadNotes: %d notes (%v), want %d", len(read), err, len(notes))
 		}
 		if hdr == nil || hdr.trials > 1024 { // bound the Spec allocation
 			return

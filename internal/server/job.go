@@ -69,9 +69,9 @@ func (j *job) status() *api.JobStatus {
 // buildJob validates and resolves a submission into a runnable job.
 // Resolution is written back into the request — default benchmark,
 // default instruction budget, normalized configs, generated labels and
-// name — so the persisted envelope replays to the identical campaign
-// (same checkpoint-journal hash) on a daemon restart, even if the
-// server's defaults change in between.
+// name — so the persisted submission record replays to the identical
+// campaign (same checkpoint-journal hash) on a daemon restart, even if
+// the server's defaults change in between.
 //
 // Programs are compiled only for the local backend. A distributed
 // backend forwards the request and its workers build: here benchmark
@@ -260,7 +260,7 @@ func (s *Server) runJob(j *job) {
 	final := j.status()
 	s.mu.Unlock()
 
-	if perr := s.persistDone(j, final); perr != nil {
+	if perr := s.persist(j.id, jobRecord{JobStatus: *final}); perr != nil {
 		jlog.Error("persisting completion failed", "err", perr)
 	}
 	jlog.Info("job finished", "name", j.name, "state", final.State,
@@ -286,7 +286,7 @@ func (s *Server) cancelJob(j *job) *api.JobStatus {
 		s.m.finished.With(string(j.state)).Inc()
 		final := j.status()
 		s.mu.Unlock()
-		if perr := s.persistDone(j, final); perr != nil {
+		if perr := s.persist(j.id, jobRecord{JobStatus: *final}); perr != nil {
 			s.logger.Error("persisting cancellation failed", "job", j.id, "err", perr)
 		}
 		j.hub.Publish(api.Event{Type: api.EventDone, State: final.State, Status: final})

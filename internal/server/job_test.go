@@ -65,6 +65,7 @@ func TestRecoveredTerminalJobsBuildNoPrograms(t *testing.T) {
 	if err := s.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
+	assertOnlyJournals(t, dir, done.ID, blocker.ID, queued.ID)
 	restarted, _ := newTestServer(t, Config{Concurrency: 1, DataDir: dir})
 	for id, n := range want {
 		if programs, trials := held(restarted, id); programs || trials != n {

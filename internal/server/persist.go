@@ -1,116 +1,62 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"repro/ftsim/api"
+	"repro/internal/campaign"
 	"repro/internal/sse"
 )
 
-// On-disk layout under DataDir, one triple per job:
+// On-disk layout under DataDir: one file per job, <id>.ckpt, the
+// campaign checkpoint journal (internal/campaign format). The daemon
+// keeps its own records in the journal's notes, which the campaign
+// runner skips:
 //
-//	<id>.job.json  — submission envelope, written before the job is
-//	                 queued; its presence is what makes a job exist
-//	                 across restarts.
-//	<id>.ckpt      — the campaign checkpoint journal (internal/campaign
-//	                 format), appended while the job runs.
-//	<id>.done.json — terminal record (state, error, aggregate stats),
-//	                 written exactly once when the job finishes.
+//	note 1         the job as submitted, with its resolved request;
+//	               appended and synced before the submit is answered,
+//	               so its presence is what makes a job exist across
+//	               restarts.
+//	header, trials the campaign journal, appended while the job runs.
+//	note 2         the terminal status (state, error, aggregate stats),
+//	               appended once when the job finishes.
 //
-// Restart recovery re-lists the directory: a job with a done record
-// loads as terminal; one without is re-queued, and its journal resumes
-// the completed trials instead of re-running them.
+// Restart recovery reads the notes of every journal: a job with a
+// terminal note loads as history; one without is re-queued, and its
+// journal resumes the completed trials instead of re-running them.
 
-// jobEnvelope is the persisted submission.
-type jobEnvelope struct {
-	ID        string               `json:"id"`
-	Owner     string               `json:"owner,omitempty"`
-	Name      string               `json:"name"`
-	Submitted time.Time            `json:"submitted"`
-	Request   *api.CampaignRequest `json:"request"`
+// jobRecord is the JSON of a note: the job's status, plus the resolved
+// request in note 1. Its fields are also those of the <id>.job.json
+// and <id>.done.json files of older daemons, which foldLegacy moves
+// into notes.
+type jobRecord struct {
+	api.JobStatus
+	Request *api.CampaignRequest `json:"request,omitempty"`
 }
 
-// doneRecord is the persisted terminal state.
-type doneRecord struct {
-	State    api.JobState    `json:"state"`
-	Started  *time.Time      `json:"started,omitempty"`
-	Finished time.Time       `json:"finished"`
-	Done     int             `json:"done"`
-	Failed   int             `json:"failed,omitempty"`
-	Resumed  int             `json:"resumed,omitempty"`
-	Error    string          `json:"error,omitempty"`
-	Stats    json.RawMessage `json:"stats,omitempty"`
-}
-
-func (s *Server) envelopePath(id string) string {
-	return filepath.Join(s.cfg.DataDir, id+".job.json")
-}
 func (s *Server) journalPath(id string) string {
 	return filepath.Join(s.cfg.DataDir, id+".ckpt")
 }
-func (s *Server) donePath(id string) string {
-	return filepath.Join(s.cfg.DataDir, id+".done.json")
-}
 
-// writeFileAtomic writes data durably: temp file in the same
-// directory, fsync, rename over the target. A crash leaves either the
-// old file or the new one, never a torn mix.
-func writeFileAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// persistEnvelope records a newly admitted job. Without a DataDir the
-// daemon is ephemeral and persistence is off.
-func (s *Server) persistEnvelope(j *job) error {
+// persist appends rec as a note to job id's journal. Without a DataDir
+// the daemon is ephemeral and persistence is off.
+func (s *Server) persist(id string, rec jobRecord) error {
 	if s.cfg.DataDir == "" {
 		return nil
 	}
-	data, err := json.MarshalIndent(jobEnvelope{
-		ID: j.id, Owner: j.owner, Name: j.name, Submitted: j.submitted, Request: j.req,
-	}, "", "  ")
+	data, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(s.envelopePath(j.id), data)
-}
-
-// persistDone records a job's terminal state.
-func (s *Server) persistDone(j *job, st *api.JobStatus) error {
-	if s.cfg.DataDir == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(doneRecord{
-		State:   st.State,
-		Started: st.Started, Finished: *st.Finished,
-		Done: st.Done, Failed: st.Failed, Resumed: st.Resumed,
-		Error: st.Error, Stats: st.Stats,
-	}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return writeFileAtomic(s.donePath(j.id), data)
+	return campaign.AppendNote(s.journalPath(id), data)
 }
 
 // recover reloads the data directory into the job table: terminal jobs
@@ -124,65 +70,64 @@ func (s *Server) recover() error {
 	if err := os.MkdirAll(s.cfg.DataDir, 0o755); err != nil {
 		return err
 	}
+	if err := s.foldLegacy(); err != nil {
+		return err
+	}
 	entries, err := os.ReadDir(s.cfg.DataDir)
 	if err != nil {
 		return err
 	}
-	var envelopes []jobEnvelope
+	var recs []*jobRecord
 	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasSuffix(name, ".job.json") {
+		if !strings.HasSuffix(e.Name(), ".ckpt") {
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(s.cfg.DataDir, name))
+		rec, err := readJob(filepath.Join(s.cfg.DataDir, e.Name()))
 		if err != nil {
 			return err
 		}
-		var env jobEnvelope
-		if err := json.Unmarshal(data, &env); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+		if rec == nil {
+			// No job record: the submit died before answering.
+			s.logger.Warn("journal holds no job record", "file", e.Name())
+			continue
 		}
-		if env.ID == "" || env.Request == nil {
-			return fmt.Errorf("%s: incomplete job envelope", name)
-		}
-		envelopes = append(envelopes, env)
+		recs = append(recs, rec)
 	}
-	sort.Slice(envelopes, func(i, k int) bool {
-		if !envelopes[i].Submitted.Equal(envelopes[k].Submitted) {
-			return envelopes[i].Submitted.Before(envelopes[k].Submitted)
+	sort.Slice(recs, func(i, k int) bool {
+		if !recs[i].Submitted.Equal(recs[k].Submitted) {
+			return recs[i].Submitted.Before(recs[k].Submitted)
 		}
-		return envelopes[i].ID < envelopes[k].ID
+		return recs[i].ID < recs[k].ID
 	})
 
 	requeued := 0
-	for i := range envelopes {
-		env := &envelopes[i]
-		rec, err := s.loadDone(env.ID)
-		if err != nil {
-			return err
-		}
+	for _, rec := range recs {
 		var j *job
-		if rec != nil {
-			// Terminal: history only. The envelope holds the resolved
-			// request, so no programs are built for it.
-			j = &job{owner: env.Owner, req: env.Request, state: rec.State,
-				finished: rec.Finished, done: rec.Done, failed: rec.Failed,
-				resumed: rec.Resumed, errMsg: rec.Error, statsJSON: rec.Stats}
+		var err error
+		if rec.State.Terminal() {
+			// History only. Note 1 holds the resolved request, so no
+			// programs are built for it.
+			j = &job{owner: rec.Owner, req: rec.Request, state: rec.State,
+				done: rec.Done, failed: rec.Failed, resumed: rec.Resumed,
+				errMsg: rec.Error, statsJSON: rec.Stats}
 			if rec.Started != nil {
 				j.started = *rec.Started
 			}
-		} else if j, err = s.buildJob(env.Request, env.Owner); err != nil {
+			if rec.Finished != nil {
+				j.finished = *rec.Finished
+			}
+		} else if j, err = s.buildJob(rec.Request, rec.Owner); err != nil {
 			// A job that validated at submission should rebuild; if it no
-			// longer does (e.g. a hand-edited envelope), surface it as a
+			// longer does (e.g. a hand-edited record), surface it as a
 			// failed job rather than refusing to start the daemon.
-			s.logger.Warn("job rebuild failed", "job", env.ID, "err", err)
-			j = &job{owner: env.Owner, req: env.Request, state: api.StateFailed,
+			s.logger.Warn("job rebuild failed", "job", rec.ID, "err", err)
+			j = &job{owner: rec.Owner, req: rec.Request, state: api.StateFailed,
 				errMsg: fmt.Sprintf("rebuild after restart: %v", err)}
 			j.finished = time.Now().UTC()
 		}
-		j.id = env.ID
-		j.name = env.Name
-		j.submitted = env.Submitted
+		j.id = rec.ID
+		j.name = rec.Name
+		j.submitted = rec.Submitted
 		j.hub = sse.NewHub(j.id, s.m.sse)
 
 		s.jobs[j.id] = j
@@ -200,25 +145,72 @@ func (s *Server) recover() error {
 			j.hub.Close()
 		}
 	}
-	if len(envelopes) > 0 {
+	if len(recs) > 0 {
 		s.logger.Info("recovered jobs from data dir",
-			"dir", s.cfg.DataDir, "jobs", len(envelopes), "requeued", requeued)
+			"dir", s.cfg.DataDir, "jobs", len(recs), "requeued", requeued)
 	}
 	return nil
 }
 
-// loadDone reads a job's terminal record, if one exists.
-func (s *Server) loadDone(id string) (*doneRecord, error) {
-	data, err := os.ReadFile(s.donePath(id))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
+// readJob decodes a journal's notes into the job's last recorded
+// status. Each note sets the fields it carries, in order: note 1 the
+// submission and its request, note 2 the terminal status. A journal
+// without notes yields nil.
+func readJob(path string) (*jobRecord, error) {
+	notes, err := campaign.ReadNotes(path)
+	if err != nil || len(notes) == 0 {
 		return nil, err
 	}
-	var rec doneRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return nil, fmt.Errorf("%s.done.json: %w", id, err)
+	var rec jobRecord
+	for i, note := range notes {
+		if err := json.Unmarshal(note, &rec); err != nil {
+			return nil, fmt.Errorf("%s: note %d: %w", filepath.Base(path), i+1, err)
+		}
+	}
+	if rec.ID == "" || rec.Request == nil {
+		return nil, fmt.Errorf("%s: incomplete job record", filepath.Base(path))
 	}
 	return &rec, nil
+}
+
+// foldLegacy moves the per-job side files of older daemons into the
+// journal: <id>.job.json and then <id>.done.json are each appended byte
+// for byte to <id>.ckpt as a note, then removed. A file already present
+// as a note is not appended again, so a fold cut short by a crash
+// finishes on the next start.
+func (s *Server) foldLegacy() error {
+	entries, err := os.ReadDir(s.cfg.DataDir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		id := strings.TrimSuffix(strings.TrimSuffix(e.Name(), ".job.json"), ".done.json")
+		if id == e.Name() {
+			continue
+		}
+		// Both files of the job, in order; the second visit finds none.
+		base := filepath.Join(s.cfg.DataDir, id)
+		notes, err := campaign.ReadNotes(base + ".ckpt")
+		if err != nil {
+			return err
+		}
+		for _, path := range []string{base + ".job.json", base + ".done.json"} {
+			data, err := os.ReadFile(path)
+			if os.IsNotExist(err) {
+				continue
+			}
+			if err != nil {
+				return err
+			}
+			if !slices.ContainsFunc(notes, func(n []byte) bool { return bytes.Equal(n, data) }) {
+				if err := campaign.AppendNote(base+".ckpt", data); err != nil {
+					return err
+				}
+			}
+			if err := os.Remove(path); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

@@ -7,18 +7,21 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/ftsim"
 	"repro/ftsim/api"
+	"repro/internal/campaign"
 )
 
 // mediumTrial runs long enough (tens of milliseconds, about a second
@@ -144,16 +147,19 @@ func TestServerResumesAfterSIGKILL(t *testing.T) {
 	}
 	cmd.Wait()
 
-	// The dead daemon left an envelope and a journal, but no terminal
-	// record.
-	if _, err := os.Stat(filepath.Join(dataDir, st.ID+".job.json")); err != nil {
-		t.Fatalf("no persisted envelope: %v", err)
+	// The dead daemon left one file, the job's journal: its submission
+	// record and trial frames, but no terminal record.
+	assertOnlyJournals(t, dataDir, st.ID)
+	notes, err := campaign.ReadNotes(filepath.Join(dataDir, st.ID+".ckpt"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if fi, err := os.Stat(filepath.Join(dataDir, st.ID+".ckpt")); err != nil || fi.Size() == 0 {
-		t.Fatalf("no checkpoint journal (err=%v)", err)
+	if len(notes) != 1 {
+		t.Fatalf("killed daemon's journal holds %d notes, want the submission record only", len(notes))
 	}
-	if _, err := os.Stat(filepath.Join(dataDir, st.ID+".done.json")); err == nil {
-		t.Fatal("killed daemon somehow wrote a terminal record")
+	var sub jobRecord
+	if err := json.Unmarshal(notes[0], &sub); err != nil || sub.ID != st.ID || sub.Request == nil || sub.State != api.StateQueued {
+		t.Fatalf("submission record %s (%v): want job %s, queued, with its request", notes[0], err, st.ID)
 	}
 
 	// Restart: a fresh server on the same data directory re-queues and
@@ -203,6 +209,27 @@ func TestServerResumesAfterSIGKILL(t *testing.T) {
 	}
 }
 
+// assertOnlyJournals fails the test unless dir holds exactly one
+// <id>.ckpt per given id and no other file.
+func assertOnlyJournals(t *testing.T, dir string, ids ...string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want []string
+	for _, e := range entries {
+		got = append(got, e.Name())
+	}
+	for _, id := range ids {
+		want = append(want, id+".ckpt")
+	}
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("data dir holds %q, want %q", got, want)
+	}
+}
+
 // crashChildServer is the subprocess half of the SIGKILL test: a real
 // daemon on a random port, address published to a file, serving until
 // killed.
@@ -223,9 +250,166 @@ func crashChildServer(root string) {
 		fmt.Fprintf(os.Stderr, "child: %v\n", err)
 		os.Exit(1)
 	}
-	if err := writeFileAtomic(filepath.Join(root, "addr"), []byte(ln.Addr().String())); err != nil {
+	// Written aside and renamed, so the parent never reads half an
+	// address.
+	tmp := filepath.Join(root, "addr.tmp")
+	if err := os.WriteFile(tmp, []byte(ln.Addr().String()), 0o644); err != nil {
+		fmt.Fprintf(os.Stderr, "child: %v\n", err)
+		os.Exit(1)
+	}
+	if err := os.Rename(tmp, filepath.Join(root, "addr")); err != nil {
 		fmt.Fprintf(os.Stderr, "child: %v\n", err)
 		os.Exit(1)
 	}
 	http.Serve(ln, s.Handler()) // until SIGKILL
+}
+
+// TestRestartOnParentDataDir restarts daemons on a copy of a data
+// directory written before a job was one file: testdata/parent/datadir
+// holds the <id>.job.json, <id>.done.json and <id>.ckpt files of a done
+// job, a job cancelled while queued, a job drained mid-grid and a
+// queued job, and served.json is the job list that daemon served after
+// its drain. The side files fold into the journals, terminal jobs come
+// back as served, and the other two run to completion, the drained one
+// resuming its journaled trials.
+func TestRestartOnParentDataDir(t *testing.T) {
+	src := filepath.Join("testdata", "parent", "datadir")
+	var served []*api.JobStatus
+	data, err := os.ReadFile(filepath.Join("testdata", "parent", "served.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &served); err != nil {
+		t.Fatal(err)
+	}
+	byName := make(map[string]*api.JobStatus)
+	var ids []string
+	for _, st := range served {
+		byName[st.Name] = st
+		ids = append(ids, st.ID)
+	}
+	dir := t.TempDir()
+	copySideFiles := func(withJournals bool) {
+		t.Helper()
+		entries, err := os.ReadDir(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if !withJournals && strings.HasSuffix(e.Name(), ".ckpt") {
+				continue
+			}
+			data, err := os.ReadFile(filepath.Join(src, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	asJSON := func(v any) string {
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	restart := func() (*Server, *httptest.Server) {
+		t.Helper()
+		return newTestServer(t, Config{Concurrency: 1, FlushEvery: 1, DataDir: dir})
+	}
+	drain := func(s *Server) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		defer cancel()
+		if err := s.Drain(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	listAll := func(ts *httptest.Server) string {
+		t.Helper()
+		var out []string
+		for _, id := range ids {
+			out = append(out, asJSON(getStatus(t, ts, id)))
+		}
+		return strings.Join(out, "\n")
+	}
+
+	copySideFiles(true)
+	s1, ts1 := restart()
+	for _, name := range []string{"done", "cancelled"} {
+		want := byName[name]
+		if got := getStatus(t, ts1, want.ID); asJSON(got) != asJSON(want) {
+			t.Errorf("%s job after restart:\n got %s\nwant %s", name, asJSON(got), asJSON(want))
+		}
+	}
+	if len(byName["done"].Stats) == 0 {
+		t.Fatal("fixture's done job has no stats")
+	}
+
+	drained := waitState(t, ts1, byName["drained"].ID, api.StateDone)
+	if drained.Resumed < 1 || drained.Resumed >= drained.Trials {
+		t.Fatalf("drained job resumed %d of %d trials, want some but not all", drained.Resumed, drained.Trials)
+	}
+	t.Logf("drained job resumed %d of %d trials", drained.Resumed, drained.Trials)
+	queued := waitState(t, ts1, byName["queued"].ID, api.StateDone)
+	for _, got := range []*api.JobStatus{drained, queued} {
+		want := byName[got.Name]
+		if got.Owner != want.Owner || !got.Submitted.Equal(want.Submitted) || got.Trials != want.Trials {
+			t.Errorf("%s job: owner %q, submitted %v, %d trials; served %q, %v, %d",
+				got.Name, got.Owner, got.Submitted, got.Trials, want.Owner, want.Submitted, want.Trials)
+		}
+	}
+
+	// Control: the drained job's submission on a pristine daemon.
+	data, err = os.ReadFile(filepath.Join(src, drained.ID+".job.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sub jobRecord
+	if err := json.Unmarshal(data, &sub); err != nil {
+		t.Fatal(err)
+	}
+	_, ctl := newTestServer(t, Config{Concurrency: 1})
+	ref := waitState(t, ctl, submit(t, ctl, "", sub.Request).ID, api.StateDone)
+	if !bytes.Equal(drained.Stats, ref.Stats) {
+		t.Errorf("drained job's stats differ from an uninterrupted run:\nresumed: %s\ncontrol: %s", drained.Stats, ref.Stats)
+	}
+
+	drain(s1)
+	assertOnlyJournals(t, dir, ids...)
+	first := listAll(ts1)
+
+	// A second restart serves the same jobs.
+	s2, ts2 := restart()
+	if got := listAll(ts2); got != first {
+		t.Errorf("second restart:\n got %s\nwant %s", got, first)
+	}
+	drain(s2)
+
+	// The side files back beside their journals, as a crash between
+	// the fold's appends and its removals leaves them: the next start
+	// removes them and appends nothing.
+	countNotes := func() map[string]int {
+		n := make(map[string]int)
+		for _, id := range ids {
+			notes, err := campaign.ReadNotes(filepath.Join(dir, id+".ckpt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			n[id] = len(notes)
+		}
+		return n
+	}
+	before := countNotes()
+	copySideFiles(false)
+	_, ts3 := restart()
+	if after := countNotes(); !maps.Equal(after, before) {
+		t.Errorf("refold appended notes: %v, was %v", after, before)
+	}
+	if got := listAll(ts3); got != first {
+		t.Errorf("restart after a cut fold:\n got %s\nwant %s", got, first)
+	}
+	assertOnlyJournals(t, dir, ids...)
 }

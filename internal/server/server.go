@@ -48,9 +48,10 @@ const maxBodyBytes = 16 << 20
 // Config parameterises a Server. The zero value is usable: an
 // ephemeral in-memory daemon with sane limits.
 type Config struct {
-	// DataDir is the persistence root (job envelopes, checkpoint
-	// journals, terminal records). Empty disables persistence — jobs
-	// then die with the process.
+	// DataDir is the persistence root: one file per job, <id>.ckpt,
+	// the job's checkpoint journal, which also holds its submission
+	// and terminal records. Empty disables persistence — jobs then die
+	// with the process.
 	DataDir string
 	// MaxQueue bounds jobs waiting to run, across all clients
 	// (submissions beyond it fail with 503). <= 0 means 64.
@@ -144,6 +145,8 @@ type Server struct {
 	// on the first job that runs it locally and shared by every later
 	// one (a Program is immutable and loads concurrently).
 	programs map[string]func() (*ftsim.Program, error)
+
+	admission sync.Mutex // serialises admit; taken before mu
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -296,12 +299,36 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		s.m.rejections.With("draining").Inc()
-		fail(w, http.StatusServiceUnavailable, "server is draining")
+	st, code, err := s.admit(j)
+	if err != nil {
+		fail(w, code, "%v", err)
 		return
+	}
+	s.cond.Signal()
+
+	s.log(r.Context()).Info("job queued",
+		"job", j.id, "name", j.name, "trials", st.Trials, "client", j.owner)
+	j.hub.Publish(api.Event{Type: api.EventState, State: api.StateQueued})
+	writeJSON(w, http.StatusAccepted, st)
+}
+
+// admit checks drain state and quotas under s.mu, makes the job's
+// submission record durable with the lock released, then queues the
+// job. The fsync thus never holds up status, list or health requests,
+// and s.admission, which serialises admissions, keeps the quota check
+// true until the insert: outside a drain only an admission raises the
+// counts it reads. On refusal it returns the HTTP code and reason.
+func (s *Server) admit(j *job) (*api.JobStatus, int, error) {
+	s.admission.Lock()
+	defer s.admission.Unlock()
+	s.mu.Lock()
+	reject := func(reason string, code int, format string, args ...any) (*api.JobStatus, int, error) {
+		s.mu.Unlock()
+		s.m.rejections.With(reason).Inc()
+		return nil, code, fmt.Errorf(format, args...)
+	}
+	if s.draining {
+		return reject("draining", http.StatusServiceUnavailable, "server is draining")
 	}
 	queued, ownerJobs, ownerTrials := 0, 0, 0
 	for _, other := range s.jobs {
@@ -314,51 +341,39 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if queued >= s.cfg.MaxQueue {
-		s.mu.Unlock()
-		s.m.rejections.With("queue_full").Inc()
-		fail(w, http.StatusServiceUnavailable, "queue full (%d jobs queued)", queued)
-		return
+		return reject("queue_full", http.StatusServiceUnavailable, "queue full (%d jobs queued)", queued)
 	}
 	if ownerJobs >= s.cfg.MaxQueuedPerClient {
-		s.mu.Unlock()
-		s.m.rejections.With("client_jobs").Inc()
-		fail(w, http.StatusTooManyRequests,
+		return reject("client_jobs", http.StatusTooManyRequests,
 			"client %q has %d active jobs (limit %d)", j.owner, ownerJobs, s.cfg.MaxQueuedPerClient)
-		return
 	}
 	if ownerTrials+len(j.req.Trials) > s.cfg.MaxTrialsPerClient {
-		s.mu.Unlock()
-		s.m.rejections.With("client_trials").Inc()
-		fail(w, http.StatusTooManyRequests,
+		return reject("client_trials", http.StatusTooManyRequests,
 			"client %q would have %d trials in flight (limit %d)",
 			j.owner, ownerTrials+len(j.req.Trials), s.cfg.MaxTrialsPerClient)
-		return
 	}
-
 	j.id = newJobID()
 	for s.jobs[j.id] != nil {
 		j.id = newJobID()
 	}
 	j.submitted = time.Now().UTC()
-	j.hub = sse.NewHub(j.id, s.m.sse)
-	if err := s.persistEnvelope(j); err != nil {
-		s.mu.Unlock()
-		fail(w, http.StatusInternalServerError, "persisting job: %v", err)
-		return
+	st := j.status()
+	s.mu.Unlock()
+
+	// A drain that starts now still finds the job durable and queued,
+	// so a restarted daemon runs it.
+	if err := s.persist(j.id, jobRecord{JobStatus: *st, Request: j.req}); err != nil {
+		return nil, http.StatusInternalServerError, fmt.Errorf("persisting job: %v", err)
 	}
+	j.hub = sse.NewHub(j.id, s.m.sse)
+	s.mu.Lock()
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	s.fifo = append(s.fifo, j)
 	s.m.submitted.Inc()
 	s.m.queueDepth.Inc() // gauge transitions happen under s.mu, like the states they mirror
-	st := j.status()
 	s.mu.Unlock()
-	s.cond.Signal()
-
-	s.log(r.Context()).Info("job queued",
-		"job", j.id, "name", j.name, "trials", st.Trials, "client", j.owner)
-	j.hub.Publish(api.Event{Type: api.EventState, State: api.StateQueued})
-	writeJSON(w, http.StatusAccepted, st)
+	return st, 0, nil
 }
 
 // lookup resolves {id}; nil means the response was already written.

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -411,6 +412,47 @@ func TestQuotaAdmission(t *testing.T) {
 	// carol: queue full.
 	expect("carol", &api.CampaignRequest{Trials: []api.TrialSpec{quickTrial("z")}},
 		http.StatusServiceUnavailable)
+}
+
+// TestConcurrentAdmissionHoldsQuota: submissions that race each other
+// through the durable submit path still respect the per-client job
+// quota, because the quota check and the insert are one admission.
+func TestConcurrentAdmissionHoldsQuota(t *testing.T) {
+	_, ts := newTestServer(t, Config{Concurrency: 1, MaxQueuedPerClient: 3, DataDir: t.TempDir()})
+	blocker := submit(t, ts, "alice", &api.CampaignRequest{Trials: []api.TrialSpec{blockerTrial()}})
+	waitState(t, ts, blocker.ID, api.StateRunning)
+
+	body, err := json.Marshal(&api.CampaignRequest{Trials: []api.TrialSpec{quickTrial("x")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	codes := make([]int, 8)
+	var wg sync.WaitGroup
+	for i := range codes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/campaigns", bytes.NewReader(body))
+			req.Header.Set("X-FTSim-Client", "alice")
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			codes[i] = resp.StatusCode
+		}()
+	}
+	wg.Wait()
+	accepted := 0
+	for _, code := range codes {
+		if code == http.StatusAccepted {
+			accepted++
+		}
+	}
+	if accepted != 2 {
+		t.Errorf("%d of %d racing submits accepted (HTTP %v), want 2 beside the running job", accepted, len(codes), codes)
+	}
 }
 
 // TestSubmitBareGoldenConfig: a raw ftsim/testdata machine config is a

@@ -101,13 +101,17 @@ wait_for "$id" ' [1-5]/6 trials'
 say "killing daemon mid-campaign (SIGKILL)"
 stop_daemon_hard
 [ -s "$work/data2/$id.ckpt" ] || die "killed daemon left no checkpoint journal"
-[ ! -e "$work/data2/$id.done.json" ] || die "job finished before the kill; slow the trials down"
+[ "$(ls "$work/data2")" = "$id.ckpt" ] || die "data dir holds more than the job's journal: $(ls "$work/data2")"
 
 say "restarting daemon on the same data dir"
 start_daemon "$work/data2"
 wait_for "$id" '  done  '
-"$work/ftsimc" -addr "$addr" status "$id" | grep -q 'resumed' \
-  || die "restarted job resumed nothing: $("$work/ftsimc" -addr "$addr" status "$id")"
+# A job that finished before the kill would come back as history with
+# nothing resumed; one whose six trials were all journaled would resume
+# all six. Either way the kill proved nothing.
+resumed=$("$work/ftsimc" -addr "$addr" status "$id" | grep -oE '[0-9]+ resumed' | cut -d' ' -f1 || true)
+[ -n "$resumed" ] && [ "$resumed" -ge 1 ] && [ "$resumed" -lt 6 ] \
+  || die "restarted job resumed ${resumed:-0} of 6 trials, want 1-5: $("$work/ftsimc" -addr "$addr" status "$id")"
 "$work/ftsimc" -addr "$addr" status -stats "$id" > "$work/resumed.json"
 
 # ---------------------------------------------------------------- 3.
