@@ -9,106 +9,39 @@ import "repro/internal/snap"
 // identical predictors) also fingerprint identically.
 func (c Config) Canonical() Config { return c.withDefaults() }
 
-// EncodeSnapshot appends the predictor's complete architectural state
-// — direction counters, history registers, meta counters, BTB, RAS
-// and statistics — to w. The table geometries are not encoded; the
-// snapshot is only meaningful against a machine built from the same
+// Snapshot transfers the predictor's complete architectural state —
+// direction counters, history registers, meta counters, BTB, RAS and
+// statistics — through c. The table geometries are not stored; the
+// snapshot is only meaningful against a predictor built from the same
 // configuration, which the caller enforces via a config fingerprint.
-// Lengths are still written and re-validated so a corrupt or
-// mismatched blob is rejected rather than misapplied.
-func (p *Predictor) EncodeSnapshot(w *snap.Writer) {
-	w.Bytes(p.bimodal)
-	w.U32(uint32(len(p.l1)))
-	for _, v := range p.l1 {
-		w.U64(v)
-	}
-	w.Bytes(p.l2)
-	w.Bytes(p.meta)
-	w.U32(uint32(len(p.btb)))
-	for i := range p.btb {
-		e := &p.btb[i]
-		w.Bool(e.valid)
-		w.U64(e.tag)
-		w.U64(e.target)
-		w.U64(e.lru)
-	}
-	w.U64(p.btbAge)
-	w.U32(uint32(len(p.ras)))
-	for _, v := range p.ras {
-		w.U64(v)
-	}
-	w.U32(uint32(p.rasTop))
-	s := &p.Stats
-	w.U64(s.CondLookups)
-	w.U64(s.CondMispredict)
-	w.U64(s.IndirLookups)
-	w.U64(s.IndirMispred)
-	w.U64(s.RASPushes)
-	w.U64(s.RASPops)
-	w.U64(s.BTBHits)
-	w.U64(s.BTBMisses)
-}
-
-// DecodeSnapshot restores state written by EncodeSnapshot into the
-// predictor in place. Any length that disagrees with the predictor's
-// geometry marks the reader corrupt and leaves remaining fields
-// unread; the caller checks r.Done(). The predictor may be left
-// partially overwritten on failure — restore paths discard the
-// machine on error.
-func (p *Predictor) DecodeSnapshot(r *snap.Reader) {
-	if b := r.Bytes(); len(b) == len(p.bimodal) {
-		copy(p.bimodal, b)
-	} else {
-		r.Corruptf("bimodal table length %d, want %d", len(b), len(p.bimodal))
-	}
-	if n := int(r.U32()); n == len(p.l1) {
-		for i := range p.l1 {
-			p.l1[i] = r.U64()
-		}
-	} else {
-		r.Corruptf("L1 history length %d, want %d", n, len(p.l1))
-	}
-	if b := r.Bytes(); len(b) == len(p.l2) {
-		copy(p.l2, b)
-	} else {
-		r.Corruptf("L2 pattern table length %d, want %d", len(b), len(p.l2))
-	}
-	if b := r.Bytes(); len(b) == len(p.meta) {
-		copy(p.meta, b)
-	} else {
-		r.Corruptf("meta table length %d, want %d", len(b), len(p.meta))
-	}
-	if n := int(r.U32()); n == len(p.btb) {
+// Lengths are still stored and re-checked, so a corrupt or mismatched
+// blob is rejected rather than misapplied.
+func (p *Predictor) Snapshot(c snap.Codec) {
+	c.Fixed("bimodal table", p.bimodal)
+	c.U64s("L1 history", p.l1)
+	c.Fixed("L2 pattern table", p.l2)
+	c.Fixed("meta table", p.meta)
+	if c.Count("BTB", len(p.btb)) {
 		for i := range p.btb {
 			e := &p.btb[i]
-			e.valid = r.Bool()
-			e.tag = r.U64()
-			e.target = r.U64()
-			e.lru = r.U64()
+			c.Bool(&e.valid)
+			c.U64(&e.tag, &e.target, &e.lru)
 		}
-	} else {
-		r.Corruptf("BTB length %d, want %d", n, len(p.btb))
 	}
-	p.btbAge = r.U64()
-	if n := int(r.U32()); n == len(p.ras) {
-		for i := range p.ras {
-			p.ras[i] = r.U64()
-		}
+	c.U64(&p.btbAge)
+	c.U64s("RAS", p.ras)
+	top := uint32(p.rasTop)
+	c.U32(&top)
+	if top <= uint32(len(p.ras)) {
+		p.rasTop = int(top)
 	} else {
-		r.Corruptf("RAS length %d, want %d", n, len(p.ras))
+		c.Corruptf("RAS top %d out of range", top)
 	}
-	if top := int(r.U32()); top >= 0 && top <= len(p.ras) {
-		p.rasTop = top
-	} else {
-		r.Corruptf("RAS top %d out of range", top)
-	}
-	s := &p.Stats
-	s.CondLookups = r.U64()
-	s.CondMispredict = r.U64()
-	s.IndirLookups = r.U64()
-	s.IndirMispred = r.U64()
-	s.RASPushes = r.U64()
-	s.RASPops = r.U64()
-	s.BTBHits = r.U64()
-	s.BTBMisses = r.U64()
+	p.Stats.Snapshot(c)
+}
+
+// Snapshot transfers the counters in declaration order.
+func (s *Stats) Snapshot(c snap.Codec) {
+	c.U64(&s.CondLookups, &s.CondMispredict, &s.IndirLookups, &s.IndirMispred,
+		&s.RASPushes, &s.RASPops, &s.BTBHits, &s.BTBMisses)
 }

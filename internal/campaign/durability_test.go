@@ -1,11 +1,13 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"os/exec"
@@ -592,6 +594,21 @@ func crashChildMain() {
 // ---------------------------------------------------------------------
 // Journal format fuzzing.
 
+// resealFrames recomputes, in place, the CRC32 trailer of every whole
+// frame of a journal, walking the length prefixes as parseJournal does.
+func resealFrames(data []byte) {
+	for off := 0; len(data)-off >= 4; {
+		n := binary.LittleEndian.Uint32(data[off:])
+		if uint64(n) > uint64(len(data)-off-4) {
+			return
+		}
+		if p := data[off+4 : off+4+int(n)]; len(p) >= 4 {
+			binary.LittleEndian.PutUint32(p[len(p)-4:], crc32.ChecksumIEEE(p[:len(p)-4]))
+		}
+		off += 4 + int(n)
+	}
+}
+
 // FuzzCheckpointDecode feeds arbitrary bytes to the journal parser:
 // it must never panic or over-allocate, and whatever prefix it accepts
 // must be internally consistent (indices parse back, offsets within
@@ -636,6 +653,8 @@ func FuzzCheckpointDecode(f *testing.F) {
 
 	path := filepath.Join(dir, "notes.ckpt")
 	f.Fuzz(func(t *testing.T, data []byte) {
+		data = bytes.Clone(data)
+		resealFrames(data)
 		hdr, recs, notes, valid := parseJournal(data)
 		if valid < 0 || valid > int64(len(data)) {
 			t.Fatalf("valid offset %d out of bounds [0,%d]", valid, len(data))

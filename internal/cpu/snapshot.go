@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/funcsim"
-	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/snap"
 )
@@ -117,70 +116,9 @@ func (m *Machine) quiesce() {
 // divergence.
 func (m *Machine) Snapshot() []byte {
 	m.quiesce()
-
 	w := snap.NewWriter(4096)
 	w.U64(m.cfg.Fingerprint())
-
-	// Run counters and front end.
-	w.U64(m.cycle)
-	w.U64(m.seq)
-	w.U64(m.gid)
-	w.Bool(m.halted)
-	w.Bool(m.pendingRecovery)
-	w.U64(m.recoveryStart)
-	w.U64(m.lastCommitCycle)
-	w.U64(m.fetchPC)
-	w.U64(m.stallUntil)
-	w.Bool(m.fetchHalt)
-
-	// Committed architectural state.
-	w.U32(uint32(isa.NumRegs))
-	for _, v := range m.regs {
-		w.U64(v)
-	}
-	pc := m.committedNextPC()
-	w.U64(pc)
-	w.U64(m.nextPC.CorrectedCount)
-	pages := m.mem.NonZeroPages()
-	w.U32(uint32(len(pages)))
-	for _, idx := range pages {
-		w.U64(idx)
-		w.Bytes(m.mem.PageData(idx))
-	}
-
-	// Functional-unit timing: units stay busy across the quiesce, as
-	// pipelined hardware drains rather than resets. pools[PoolNone] is
-	// nil and skipped on both sides.
-	for _, p := range m.fus.pools {
-		if p == nil {
-			continue
-		}
-		w.U32(uint32(len(p.busyUntil)))
-		for _, b := range p.busyUntil {
-			w.U64(b)
-		}
-	}
-
-	m.bp.EncodeSnapshot(w)
-	m.caches.EncodeSnapshot(w)
-
-	// Fault injector: seed lives in the config (fingerprinted); the
-	// draw count pins the RNG's exact position in the fault schedule.
-	w.Bool(m.injector != nil)
-	if m.injector != nil {
-		w.U64(m.injector.Draws())
-		fs := &m.injector.Stats
-		w.U64(fs.Injected)
-		w.U32(uint32(len(fs.ByTarget)))
-		for _, v := range fs.ByTarget {
-			w.U64(v)
-		}
-		w.U64(fs.BitsFlips)
-	}
-
-	encodeStats(w, &m.stats)
-	w.Bool(m.oracleLive)
-
+	m.state(snap.Codec{W: w})
 	return w.Finish()
 }
 
@@ -207,105 +145,7 @@ func (m *Machine) Restore(cfg Config, data []byte) error {
 		return fmt.Errorf("%w (snapshot %#x, config %#x)", ErrSnapshotMismatch, fp, cfg.Fingerprint())
 	}
 	m.resetHardware(cfg)
-
-	m.cycle = r.U64()
-	m.seq = r.U64()
-	m.gid = r.U64()
-	m.halted = r.Bool()
-	m.pendingRecovery = r.Bool()
-	m.recoveryStart = r.U64()
-	m.lastCommitCycle = r.U64()
-	m.fetchPC = r.U64()
-	m.stallUntil = r.U64()
-	m.fetchHalt = r.Bool()
-
-	if n := int(r.U32()); n == isa.NumRegs {
-		for i := range m.regs {
-			m.regs[i] = r.U64()
-		}
-	} else {
-		r.Corruptf("register file size %d, want %d", n, isa.NumRegs)
-	}
-	committedPC := r.U64()
-	m.nextPC.Set(committedPC)
-	m.nextPC.CorrectedCount = r.U64()
-	npages := r.U32()
-	if uint64(npages) > uint64(r.Len()/(8+4)) {
-		r.Corruptf("page count %d exceeds payload", npages)
-	}
-	prev, first := uint64(0), true
-	for i := uint32(0); i < npages && r.Err() == nil; i++ {
-		idx := r.U64()
-		if !first && idx <= prev {
-			r.Corruptf("page indices not strictly increasing at %#x", idx)
-			break
-		}
-		prev, first = idx, false
-		data := r.Bytes()
-		if len(data) != mem.PageSize {
-			r.Corruptf("page %#x has %d bytes, want %d", idx, len(data), mem.PageSize)
-			break
-		}
-		m.mem.LoadPage(idx, data)
-	}
-
-	for _, p := range m.fus.pools {
-		if p == nil {
-			continue
-		}
-		if n := int(r.U32()); n == len(p.busyUntil) {
-			for i := range p.busyUntil {
-				p.busyUntil[i] = r.U64()
-			}
-		} else {
-			r.Corruptf("pool %v has %d units in snapshot, want %d", p.pool, n, len(p.busyUntil))
-		}
-	}
-
-	m.bp.DecodeSnapshot(r)
-	m.caches.DecodeSnapshot(r)
-
-	if hasInjector := r.Bool(); hasInjector {
-		if m.injector == nil {
-			// Unreachable past a fingerprint match (the injector config
-			// is hashed), but a decoder must not trust that.
-			r.Corruptf("snapshot has injector state but config has no injector")
-		} else {
-			draws := r.U64()
-			if draws > maxRestoreDraws {
-				r.Corruptf("injector draw count %d exceeds restore limit", draws)
-			}
-			var fs struct {
-				injected  uint64
-				byTarget  []uint64
-				bitsFlips uint64
-			}
-			fs.injected = r.U64()
-			nt := int(r.U32())
-			if nt != len(m.injector.Stats.ByTarget) {
-				r.Corruptf("injector target count %d, want %d", nt, len(m.injector.Stats.ByTarget))
-			} else {
-				fs.byTarget = make([]uint64, nt)
-				for i := range fs.byTarget {
-					fs.byTarget[i] = r.U64()
-				}
-			}
-			fs.bitsFlips = r.U64()
-			if r.Err() == nil {
-				stats := m.injector.Stats
-				stats.Injected = fs.injected
-				copy(stats.ByTarget[:], fs.byTarget)
-				stats.BitsFlips = fs.bitsFlips
-				m.injector.RestoreState(draws, stats)
-			}
-		}
-	} else if m.injector != nil {
-		r.Corruptf("config has an injector but snapshot has no injector state")
-	}
-
-	decodeStats(r, &m.stats)
-	snapOracleLive := r.Bool()
-
+	m.state(snap.Codec{R: r})
 	if err := r.Done(); err != nil {
 		return err
 	}
@@ -313,138 +153,166 @@ func (m *Machine) Restore(cfg Config, data []byte) error {
 	// The oracle co-simulation tracks the committed state exactly while
 	// it is live (a diverged oracle is abandoned), so it can be rebuilt
 	// from the restored committed state instead of being serialised.
-	if cfg.Oracle && snapOracleLive {
+	m.oracleLive = m.oracleLive && cfg.Oracle
+	if m.oracleLive {
 		m.oracle = &funcsim.Machine{
 			Regs:   m.regs,
-			PC:     committedPC,
+			PC:     m.committedNextPC(),
 			Mem:    m.mem.Clone(),
 			Halted: m.halted,
 			Insts:  m.stats.Committed,
 		}
-		m.oracleLive = true
 	}
 	return nil
 }
 
-// encodeStats writes every Stats field in declaration order. The
-// subsystem aggregates (Bpred, caches, Fault) are included even
-// though finishStats refreshes them from the live components, so a
-// snapshot round-trips a finished run's Stats exactly.
-func encodeStats(w *snap.Writer, s *Stats) {
-	w.U64(s.Cycles)
-	w.U64(s.Committed)
-	w.U64(s.Copies)
-	w.U64(s.Fetched)
-	w.U64(s.Dispatched)
-	w.U64(s.Issued)
-	w.U64(s.FetchICacheStall)
-	w.U64(s.FetchQueueFull)
-	w.U64(s.DispatchRUUFull)
-	w.U64(s.DispatchLSQFull)
-	w.U64(s.BranchRewinds)
-	w.U64(s.SquashedUops)
-	w.U64(s.FaultsDetected)
-	w.U64(s.PCCheckFails)
-	w.U64(s.FaultRewinds)
-	w.U64(s.MajorityCommits)
-	w.U64(s.RecoveryCycles)
-	w.U64(s.EscapedFaults)
-	w.U64(s.RUUOccupancy)
-	w.U64(s.LSQOccupancy)
-	bp := &s.Bpred
-	w.U64(bp.CondLookups)
-	w.U64(bp.CondMispredict)
-	w.U64(bp.IndirLookups)
-	w.U64(bp.IndirMispred)
-	w.U64(bp.RASPushes)
-	w.U64(bp.RASPops)
-	w.U64(bp.BTBHits)
-	w.U64(bp.BTBMisses)
-	for _, cs := range []*struct {
-		a, m, wb uint64
-	}{
-		{s.IL1.Accesses, s.IL1.Misses, s.IL1.Writebacks},
-		{s.DL1.Accesses, s.DL1.Misses, s.DL1.Writebacks},
-		{s.L2.Accesses, s.L2.Misses, s.L2.Writebacks},
-	} {
-		w.U64(cs.a)
-		w.U64(cs.m)
-		w.U64(cs.wb)
+// state transfers the machine's post-quiesce state through c, in the
+// order of snap format version 1. Snapshot runs it with a Writer on a
+// quiesced machine; Restore runs it with a Reader on a machine that
+// resetHardware has just cleared. The steps that differ by direction
+// branch on c.R.
+func (m *Machine) state(c snap.Codec) {
+	// Run counters and front end. A machine's history cannot postdate
+	// its clock: the run loop measures progress and recovery as cycle
+	// differences, which a later lastCommitCycle or recoveryStart would
+	// wrap around.
+	c.U64(&m.cycle, &m.seq, &m.gid)
+	c.Bool(&m.halted)
+	c.Bool(&m.pendingRecovery)
+	c.U64(&m.recoveryStart, &m.lastCommitCycle, &m.fetchPC, &m.stallUntil)
+	c.Bool(&m.fetchHalt)
+	if m.lastCommitCycle > m.cycle {
+		c.Corruptf("last commit at cycle %d after cycle %d", m.lastCommitCycle, m.cycle)
 	}
-	w.U64(s.Fault.Injected)
-	w.U32(uint32(len(s.Fault.ByTarget)))
-	for _, v := range s.Fault.ByTarget {
-		w.U64(v)
+	if m.pendingRecovery && m.recoveryStart > m.cycle {
+		c.Corruptf("recovery started at cycle %d after cycle %d", m.recoveryStart, m.cycle)
 	}
-	w.U64(s.Fault.BitsFlips)
-	w.U32(uint32(len(s.Output)))
-	for _, v := range s.Output {
-		w.U64(v)
+
+	// Committed architectural state.
+	c.U64s("register file", m.regs[:])
+	pc := m.committedNextPC() // 0 on a machine being restored
+	c.U64(&pc)
+	if c.R != nil {
+		m.nextPC.Set(pc)
 	}
-	w.Bool(s.Halted)
+	c.U64(&m.nextPC.CorrectedCount)
+	m.pages(c)
+
+	// Functional-unit timing: units stay busy across the quiesce, as
+	// pipelined hardware drains rather than resets. pools[PoolNone] is
+	// nil and skipped.
+	for _, p := range m.fus.pools {
+		if p != nil {
+			c.U64s(fmt.Sprint("pool ", p.pool, " units"), p.busyUntil)
+		}
+	}
+
+	m.bp.Snapshot(c)
+	m.caches.Snapshot(c)
+	m.injectorState(c)
+	m.stats.transfer(c)
+	c.Bool(&m.oracleLive)
 }
 
-// decodeStats is the inverse of encodeStats, into a zeroed Stats.
-func decodeStats(r *snap.Reader, s *Stats) {
-	s.Cycles = r.U64()
-	s.Committed = r.U64()
-	s.Copies = r.U64()
-	s.Fetched = r.U64()
-	s.Dispatched = r.U64()
-	s.Issued = r.U64()
-	s.FetchICacheStall = r.U64()
-	s.FetchQueueFull = r.U64()
-	s.DispatchRUUFull = r.U64()
-	s.DispatchLSQFull = r.U64()
-	s.BranchRewinds = r.U64()
-	s.SquashedUops = r.U64()
-	s.FaultsDetected = r.U64()
-	s.PCCheckFails = r.U64()
-	s.FaultRewinds = r.U64()
-	s.MajorityCommits = r.U64()
-	s.RecoveryCycles = r.U64()
-	s.EscapedFaults = r.U64()
-	s.RUUOccupancy = r.U64()
-	s.LSQOccupancy = r.U64()
-	bp := &s.Bpred
-	bp.CondLookups = r.U64()
-	bp.CondMispredict = r.U64()
-	bp.IndirLookups = r.U64()
-	bp.IndirMispred = r.U64()
-	bp.RASPushes = r.U64()
-	bp.RASPops = r.U64()
-	bp.BTBHits = r.U64()
-	bp.BTBMisses = r.U64()
-	for _, cs := range []*struct {
-		a, m, wb *uint64
-	}{
-		{&s.IL1.Accesses, &s.IL1.Misses, &s.IL1.Writebacks},
-		{&s.DL1.Accesses, &s.DL1.Misses, &s.DL1.Writebacks},
-		{&s.L2.Accesses, &s.L2.Misses, &s.L2.Writebacks},
-	} {
-		*cs.a = r.U64()
-		*cs.m = r.U64()
-		*cs.wb = r.U64()
-	}
-	s.Fault.Injected = r.U64()
-	if n := int(r.U32()); n == len(s.Fault.ByTarget) {
-		for i := range s.Fault.ByTarget {
-			s.Fault.ByTarget[i] = r.U64()
+// pages transfers the non-zero memory pages: their count, then each
+// page's index and bytes in ascending index order.
+func (m *Machine) pages(c snap.Codec) {
+	if c.R == nil {
+		pages := m.mem.NonZeroPages()
+		c.W.U32(uint32(len(pages)))
+		for _, idx := range pages {
+			c.W.U64(idx)
+			c.W.Bytes(m.mem.PageData(idx))
 		}
-	} else {
-		r.Corruptf("fault target count %d, want %d", n, len(s.Fault.ByTarget))
-	}
-	s.Fault.BitsFlips = r.U64()
-	n := r.U32()
-	if uint64(n) > uint64(r.Len()/8) {
-		r.Corruptf("output length %d exceeds payload", n)
 		return
 	}
-	if n > 0 {
-		s.Output = make([]uint64, n)
-		for i := range s.Output {
-			s.Output[i] = r.U64()
+	r := c.R
+	n := r.U32()
+	if uint64(n) > uint64(r.Len()/(8+4)) {
+		r.Corruptf("page count %d exceeds payload", n)
+		return
+	}
+	var prev uint64
+	for i := uint32(0); i < n; i++ {
+		idx := r.U64()
+		if i > 0 && idx <= prev {
+			r.Corruptf("page indices not strictly increasing at %#x", idx)
+			return
+		}
+		prev = idx
+		data := r.Bytes()
+		if len(data) != mem.PageSize {
+			r.Corruptf("page %#x has %d bytes, want %d", idx, len(data), mem.PageSize)
+			return
+		}
+		m.mem.LoadPage(idx, data)
+	}
+}
+
+// injectorState transfers the fault injector's position. Its seed lives
+// in the config (fingerprinted); the draw count pins the RNG's exact
+// position in the fault schedule.
+func (m *Machine) injectorState(c snap.Codec) {
+	has := m.injector != nil
+	c.Bool(&has)
+	switch {
+	case has && m.injector == nil:
+		// Unreachable past a fingerprint match (the injector config
+		// is hashed), but a decoder must not trust that.
+		c.Corruptf("snapshot has injector state but config has no injector")
+	case !has && m.injector != nil:
+		c.Corruptf("config has an injector but snapshot has no injector state")
+	case has:
+		draws, fs := m.injector.Draws(), m.injector.Stats
+		c.U64(&draws)
+		if draws > maxRestoreDraws {
+			c.Corruptf("injector draw count %d exceeds restore limit", draws)
+		}
+		faultStats(c, "injector", &fs)
+		if c.R != nil && c.R.Err() == nil {
+			m.injector.RestoreState(draws, fs)
 		}
 	}
-	s.Halted = r.Bool()
+}
+
+// faultStats transfers fault statistics, which a snapshot holds twice:
+// the injector's own and the run's Stats.Fault.
+func faultStats(c snap.Codec, what string, s *fault.Stats) {
+	c.U64(&s.Injected)
+	c.U64s(what+" targets", s.ByTarget[:])
+	c.U64(&s.BitsFlips)
+}
+
+// transfer moves every Stats field through c in declaration order. The
+// subsystem aggregates (Bpred, caches, Fault) are included even though
+// finishStats refreshes them from the live components, so a snapshot
+// round-trips a finished run's Stats exactly.
+func (s *Stats) transfer(c snap.Codec) {
+	c.U64(&s.Cycles, &s.Committed, &s.Copies, &s.Fetched, &s.Dispatched, &s.Issued,
+		&s.FetchICacheStall, &s.FetchQueueFull, &s.DispatchRUUFull, &s.DispatchLSQFull,
+		&s.BranchRewinds, &s.SquashedUops, &s.FaultsDetected, &s.PCCheckFails,
+		&s.FaultRewinds, &s.MajorityCommits, &s.RecoveryCycles, &s.EscapedFaults,
+		&s.RUUOccupancy, &s.LSQOccupancy)
+	s.Bpred.Snapshot(c)
+	s.IL1.Snapshot(c)
+	s.DL1.Snapshot(c)
+	s.L2.Snapshot(c)
+	faultStats(c, "fault", &s.Fault)
+	// Output is the one field the geometry does not size: decoding
+	// allocates it from its count, which the bytes left must cover.
+	n := uint32(len(s.Output))
+	c.U32(&n)
+	if c.R != nil {
+		if uint64(n) > uint64(c.R.Len()/8) {
+			c.Corruptf("output length %d exceeds payload", n)
+			return
+		}
+		if n > 0 {
+			s.Output = make([]uint64, n)
+		}
+	}
+	for i := range s.Output {
+		c.U64(&s.Output[i])
+	}
+	c.Bool(&s.Halted)
 }

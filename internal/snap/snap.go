@@ -6,7 +6,8 @@
 // CRC32 (IEEE) trailer over everything before it. Dumb is the point —
 // a restore path must be able to reject torn or corrupt bytes before
 // acting on any of them, and a versioned header lets a future format
-// evolve without silently misreading old files.
+// evolve without silently misreading old files. A Codec runs one
+// layout function as both the encoder and the decoder of that layout.
 package snap
 
 import (
@@ -14,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 )
 
 // Magic identifies a snap-encoded blob. "FTSN" = fault-tolerant
@@ -82,9 +82,6 @@ func (w *Writer) U64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf,
 // I64 appends a little-endian int64 (two's complement).
 func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
 
-// F64 appends a float64 as its IEEE-754 bit pattern.
-func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
-
 // Bytes appends a byte string with a u32 length prefix.
 func (w *Writer) Bytes(b []byte) {
 	w.U32(uint32(len(b)))
@@ -96,9 +93,6 @@ func (w *Writer) String(s string) {
 	w.U32(uint32(len(s)))
 	w.buf = append(w.buf, s...)
 }
-
-// Len reports the current encoded length, excluding the CRC trailer.
-func (w *Writer) Len() int { return len(w.buf) }
 
 // Finish appends the CRC32 trailer and returns the completed blob.
 // The Writer must not be used afterwards.
@@ -205,9 +199,6 @@ func (r *Reader) U64() uint64 {
 // I64 reads a little-endian int64.
 func (r *Reader) I64() int64 { return int64(r.U64()) }
 
-// F64 reads a float64 from its IEEE-754 bit pattern.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
-
 // Bytes reads a length-prefixed byte string. The returned slice
 // aliases the Reader's buffer; copy it if it must outlive the blob.
 // The length is validated against the remaining payload before any
@@ -255,4 +246,91 @@ func (r *Reader) Done() error {
 // enum) through the Reader's sticky-error channel.
 func (r *Reader) Corruptf(format string, args ...any) {
 	r.fail(fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...)))
+}
+
+// A Codec runs one layout in either direction: with W set each method
+// writes the values its arguments point at, with R set it reads the
+// encoded values into the same places. A component writes its layout
+// once, as a function of a Codec, and that function is both its
+// encoder and its decoder. Lengths precede what they count, and
+// decoding checks each against the storage being filled: a mismatch
+// goes to Corruptf and leaves the storage as it was.
+type Codec struct {
+	W *Writer
+	R *Reader
+}
+
+// Bool transfers a boolean.
+func (c Codec) Bool(p *bool) {
+	if c.R != nil {
+		*p = c.R.Bool()
+	} else {
+		c.W.Bool(*p)
+	}
+}
+
+// U32 transfers a uint32.
+func (c Codec) U32(p *uint32) {
+	if c.R != nil {
+		*p = c.R.U32()
+	} else {
+		c.W.U32(*p)
+	}
+}
+
+// U64 transfers each value in turn.
+func (c Codec) U64(ps ...*uint64) {
+	for _, p := range ps {
+		if c.R != nil {
+			*p = c.R.U64()
+		} else {
+			c.W.U64(*p)
+		}
+	}
+}
+
+// Count transfers n, the number of elements that follow. Decoding
+// reports false, after Corruptf, if the encoded count is not n.
+func (c Codec) Count(what string, n int) bool {
+	if c.R == nil {
+		c.W.U32(uint32(n))
+		return true
+	}
+	if got := c.R.U32(); uint64(got) != uint64(n) {
+		c.R.Corruptf("%s: snapshot has %d, want %d", what, got, n)
+		return false
+	}
+	return true
+}
+
+// U64s transfers s behind its length.
+func (c Codec) U64s(what string, s []uint64) {
+	if c.Count(what, len(s)) {
+		for i := range s {
+			c.U64(&s[i])
+		}
+	}
+}
+
+// Fixed transfers b as a length-prefixed byte string whose length is
+// fixed by the storage: decoding copies into b only a string of len(b).
+func (c Codec) Fixed(what string, b []byte) {
+	if c.R == nil {
+		c.W.Bytes(b)
+		return
+	}
+	if got := c.R.Bytes(); len(got) == len(b) {
+		copy(b, got)
+	} else {
+		c.R.Corruptf("%s: snapshot has %d, want %d", what, len(got), len(b))
+	}
+}
+
+// Corruptf reports a failed semantic check while decoding. Encoding
+// ignores it: the state being written is live, and a check it failed
+// would describe the encoder's own bug, not damaged bytes.
+func (c Codec) Corruptf(format string, args ...any) {
+	if c.R != nil {
+		c.R.Corruptf(format, args...)
+	}
 }

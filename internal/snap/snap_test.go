@@ -15,7 +15,6 @@ func TestRoundTrip(t *testing.T) {
 	w.U32(0xdeadbeef)
 	w.U64(1<<63 | 12345)
 	w.I64(-42)
-	w.F64(3.141592653589793)
 	w.Bytes([]byte("payload"))
 	w.Bytes(nil)
 	w.String("café")
@@ -39,9 +38,6 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if got := r.I64(); got != -42 {
 		t.Errorf("I64 = %d", got)
-	}
-	if got := r.F64(); got != 3.141592653589793 {
-		t.Errorf("F64 = %v", got)
 	}
 	if got := r.Bytes(); !bytes.Equal(got, []byte("payload")) {
 		t.Errorf("Bytes = %q", got)
