@@ -115,7 +115,9 @@ const MaxTrialsPerRequest = 10_000_000
 // request-shape invariants every daemon mode relies on are enforced
 // here: at least one trial, a bounded trial count, a non-negative
 // shard-count hint, and a shard range that stays inside its parent
-// grid.
+// grid. Every trial's config is normalized and validated, as
+// ftsim.ParseConfig does a bare one, so an accepted request marshals
+// and parses back to itself.
 func ParseSubmission(data []byte) (*CampaignRequest, error) {
 	var probe map[string]json.RawMessage
 	if err := json.Unmarshal(data, &probe); err != nil {
@@ -146,6 +148,13 @@ func ParseSubmission(data []byte) (*CampaignRequest, error) {
 	}
 	if err := req.validateShard(); err != nil {
 		return nil, err
+	}
+	for i := range req.Trials {
+		cfg := req.Trials[i].Config.Normalized()
+		if err := cfg.Validate(); err != nil {
+			return nil, fmt.Errorf("trial %d: %w", i, err)
+		}
+		req.Trials[i].Config = cfg
 	}
 	return &req, nil
 }

@@ -63,32 +63,45 @@ func TestParseSubmissionRequestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestParseSubmissionRejects: typos and invalid configs fail loudly.
-func TestParseSubmissionRejects(t *testing.T) {
-	for name, body := range map[string]string{
+// rejectedBodies are submissions ParseSubmission refuses. The
+// invalidConfigBodies are bare configs refused with
+// ftsim.ErrInvalidConfig, and unknownTargetGrid puts one of them inside
+// a trial grid. FuzzParseSubmission seeds from all three.
+var (
+	rejectedBodies = map[string]string{
 		"not json":            `[]`,
 		"unknown field":       `{"trials": [], "trails": 1}`,
 		"config typo":         `{"r": 1, "pipelin": {}}`,
 		"invalid bare config": `{"r": -4}`,
-	} {
+		"invalid grid config": `{"trials": [{"benchmark": "gcc", "config": {"r": -4}}]}`,
+		"grid pool none":      `{"trials": [{"config": {"persistent": {}}}]}`,
+	}
+	invalidConfigBodies = []string{
+		`{"r": -4}`,
+		`{"r": 2, "fault": {"rate": 0.001, "targets": ["cosmic"]}}`,
+		`{"r": 2, "persistent": {"pool": "gpu", "unit": 0, "bit": 3}}`,
+		`{"r": 2, "persistent": {"pool": "none", "unit": 0, "bit": 3}}`,
+	}
+)
+
+const unknownTargetGrid = `{"trials": [{"config": {"r": 2, "fault": {"rate": 0.001, "targets": ["cosmic"]}}}]}`
+
+// TestParseSubmissionRejects: typos and invalid configs fail loudly.
+func TestParseSubmissionRejects(t *testing.T) {
+	for name, body := range rejectedBodies {
 		if _, err := ParseSubmission([]byte(body)); err == nil {
 			t.Errorf("%s: accepted %s", name, body)
 		}
 	}
 	// Bare-config validation errors keep the ftsim taxonomy, and so
 	// do enum names outside their sets.
-	for _, body := range []string{
-		`{"r": -4}`,
-		`{"r": 2, "fault": {"rate": 0.001, "targets": ["cosmic"]}}`,
-		`{"r": 2, "persistent": {"pool": "gpu", "unit": 0, "bit": 3}}`,
-		`{"r": 2, "persistent": {"pool": "none", "unit": 0, "bit": 3}}`,
-	} {
+	for _, body := range invalidConfigBodies {
 		if _, err := ParseSubmission([]byte(body)); !errors.Is(err, ftsim.ErrInvalidConfig) {
 			t.Errorf("bare config %s: got %v, want ErrInvalidConfig", body, err)
 		}
 	}
 	// Inside a trial grid the same names fail the whole submission.
-	if _, err := ParseSubmission([]byte(`{"trials": [{"config": {"r": 2, "fault": {"rate": 0.001, "targets": ["cosmic"]}}}]}`)); err == nil {
+	if _, err := ParseSubmission([]byte(unknownTargetGrid)); err == nil {
 		t.Error("grid with an unknown fault target accepted")
 	}
 }

@@ -20,10 +20,19 @@
 // with aliases zero (r0), sp (r30) and ra (r31). Immediates are decimal or
 // 0x-prefixed hex. Directives: .text, .data, .word, .float, .space,
 // .align. The pseudo-instruction li64 materialises a full 64-bit constant
-// as a lih/ori pair.
+// as a lih/ori pair, and la loads the address of a label. Every other
+// instruction takes the operands isa.Op.Args lists, the same list
+// isa.Inst.String prints, so every disassembly reassembles to the
+// instruction it came from.
+//
+// A program must fit the memory layout of package prog: its text ends at
+// or below prog.DataBase, so at most 130,560 instructions, and its data
+// ends at or below prog.StackTop, so at most 133,169,152 bytes. The
+// assembler checks both limits before it grows either segment.
 package asm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strconv"
 	"strings"
@@ -142,6 +151,9 @@ func (a *assembler) pass1(src string) error {
 		if mnem == "li64" {
 			n = 2
 		}
+		if err := prog.CheckLayout(uint64(a.textLen+n), uint64(len(a.data))); err != nil {
+			return &Error{lineNo + 1, err.Error()}
+		}
 		a.items = append(a.items, item{line: lineNo + 1, mnem: mnem, args: args, nInsts: n})
 		a.textLen += n
 	}
@@ -150,23 +162,30 @@ func (a *assembler) pass1(src string) error {
 
 func (a *assembler) layoutData(line int, mnem string, args []string) error {
 	switch mnem {
-	case ".word":
-		a.alignData(8)
-		for _, s := range args {
-			v, err := parseInt(s)
-			if err != nil {
-				return &Error{line, err.Error()}
-			}
-			a.appendWord(uint64(v))
+	case ".word", ".float":
+		if err := a.align(line, 8); err != nil {
+			return err
 		}
-	case ".float":
-		a.alignData(8)
 		for _, s := range args {
-			f, err := strconv.ParseFloat(s, 64)
-			if err != nil {
-				return &Error{line, fmt.Sprintf("bad float %q", s)}
+			var v uint64
+			if mnem == ".word" {
+				i, err := parseInt(s)
+				if err != nil {
+					return &Error{line, err.Error()}
+				}
+				v = uint64(i)
+			} else {
+				f, err := strconv.ParseFloat(s, 64)
+				if err != nil {
+					return &Error{line, fmt.Sprintf("bad float %q", s)}
+				}
+				v = isa.F2B(f)
 			}
-			a.appendWord(isa.F2B(f))
+			b, err := a.grow(line, 8)
+			if err != nil {
+				return err
+			}
+			binary.LittleEndian.PutUint64(b, v)
 		}
 	case ".space":
 		if len(args) != 1 {
@@ -176,7 +195,8 @@ func (a *assembler) layoutData(line int, mnem string, args []string) error {
 		if err != nil || n < 0 {
 			return &Error{line, fmt.Sprintf("bad size %q", args[0])}
 		}
-		a.data = append(a.data, make([]byte, n)...)
+		_, err = a.grow(line, uint64(n))
+		return err
 	case ".align":
 		if len(args) != 1 {
 			return &Error{line, ".align wants one argument"}
@@ -185,22 +205,25 @@ func (a *assembler) layoutData(line int, mnem string, args []string) error {
 		if err != nil || n <= 0 {
 			return &Error{line, fmt.Sprintf("bad alignment %q", args[0])}
 		}
-		a.alignData(int(n))
+		return a.align(line, uint64(n))
 	}
 	return nil
 }
 
-func (a *assembler) alignData(n int) {
-	for len(a.data)%n != 0 {
-		a.data = append(a.data, 0)
+// grow checks that n more bytes fit the data segment, then appends them
+// zeroed and returns them.
+func (a *assembler) grow(line int, n uint64) ([]byte, error) {
+	if err := prog.CheckLayout(uint64(a.textLen), uint64(len(a.data))+n); err != nil {
+		return nil, &Error{line, err.Error()}
 	}
+	a.data = append(a.data, make([]byte, n)...)
+	return a.data[uint64(len(a.data))-n:], nil
 }
 
-func (a *assembler) appendWord(v uint64) {
-	for i := 0; i < 8; i++ {
-		a.data = append(a.data, byte(v))
-		v >>= 8
-	}
+// align pads the data segment to a multiple of n bytes in one step.
+func (a *assembler) align(line int, n uint64) error {
+	_, err := a.grow(line, (n-uint64(len(a.data))%n)%n)
+	return err
 }
 
 // pass2 encodes instructions with all labels known.
@@ -234,13 +257,22 @@ func (a *assembler) encode(it item, pc uint64) ([]isa.Inst, error) {
 
 	// Pseudo-instructions first.
 	switch it.mnem {
-	case "li64":
+	case "li64", "la":
 		if err := want(2); err != nil {
 			return nil, err
 		}
 		rd, err := parseReg(it.args[0])
 		if err != nil {
 			return fail("%v", err)
+		}
+		if it.mnem == "la" {
+			// Every label lies below prog.StackTop, so its address
+			// fits the immediate.
+			addr, ok := a.labels[it.args[1]]
+			if !ok {
+				return fail("undefined label %q", it.args[1])
+			}
+			return []isa.Inst{{Op: isa.OpLi, Rd: rd, Imm: int32(addr)}}, nil
 		}
 		v, err := parseInt(it.args[1])
 		if err != nil {
@@ -250,213 +282,52 @@ func (a *assembler) encode(it item, pc uint64) ([]isa.Inst, error) {
 			{Op: isa.OpLih, Rd: rd, Imm: int32(uint64(v) >> 32)},
 			{Op: isa.OpOri, Rd: rd, Rs1: rd, Imm: int32(uint32(v))},
 		}, nil
-	case "la":
-		if err := want(2); err != nil {
-			return nil, err
-		}
-		rd, err := parseReg(it.args[0])
-		if err != nil {
-			return fail("%v", err)
-		}
-		addr, ok := a.labels[it.args[1]]
-		if !ok {
-			return fail("undefined label %q", it.args[1])
-		}
-		if addr > 0x7FFF_FFFF {
-			return fail("label %q address %#x exceeds immediate range", it.args[1], addr)
-		}
-		return []isa.Inst{{Op: isa.OpLi, Rd: rd, Imm: int32(addr)}}, nil
 	}
 
 	op, ok := isa.OpByName(it.mnem)
 	if !ok {
 		return fail("unknown instruction %q", it.mnem)
 	}
-	oi := isa.Info(op)
+	args := op.Args()
+	if err := want(len(args)); err != nil {
+		return nil, err
+	}
 	in := isa.Inst{Op: op}
-
-	switch {
-	case op == isa.OpNop || op == isa.OpHalt:
-		if err := want(0); err != nil {
-			return nil, err
+	for i, arg := range args {
+		s := it.args[i]
+		var err error
+		switch arg {
+		case isa.ArgRd:
+			in.Rd, err = parseReg(s)
+		case isa.ArgRs1:
+			in.Rs1, err = parseReg(s)
+		case isa.ArgRs2:
+			in.Rs2, err = parseReg(s)
+		case isa.ArgImm:
+			in.Imm, err = parseImm(s)
+		case isa.ArgTarget:
+			in.Imm, err = a.branchTarget(s, pc)
+		case isa.ArgMem:
+			in.Imm, in.Rs1, err = parseMemOperand(s)
 		}
-	case op == isa.OpOut || op == isa.OpJr:
-		if err := want(1); err != nil {
-			return nil, err
-		}
-		r, err := parseReg(it.args[0])
 		if err != nil {
 			return fail("%v", err)
 		}
-		in.Rs1 = r
-	case op == isa.OpJ:
-		if err := want(1); err != nil {
-			return nil, err
-		}
-		imm, err := a.branchTarget(it.args[0], pc)
-		if err != nil {
-			return fail("%v", err)
-		}
-		in.Imm = imm
-	case op == isa.OpJal:
-		if err := want(2); err != nil {
-			return nil, err
-		}
-		rd, err := parseReg(it.args[0])
-		if err != nil {
-			return fail("%v", err)
-		}
-		imm, err := a.branchTarget(it.args[1], pc)
-		if err != nil {
-			return fail("%v", err)
-		}
-		in.Rd, in.Imm = rd, imm
-	case op == isa.OpJalr:
-		if err := want(2); err != nil {
-			return nil, err
-		}
-		rd, err := parseReg(it.args[0])
-		if err != nil {
-			return fail("%v", err)
-		}
-		rs, err := parseReg(it.args[1])
-		if err != nil {
-			return fail("%v", err)
-		}
-		in.Rd, in.Rs1 = rd, rs
-	case oi.IsBranch:
-		if err := want(3); err != nil {
-			return nil, err
-		}
-		rs1, err := parseReg(it.args[0])
-		if err != nil {
-			return fail("%v", err)
-		}
-		rs2, err := parseReg(it.args[1])
-		if err != nil {
-			return fail("%v", err)
-		}
-		imm, err := a.branchTarget(it.args[2], pc)
-		if err != nil {
-			return fail("%v", err)
-		}
-		in.Rs1, in.Rs2, in.Imm = rs1, rs2, imm
-	case oi.IsLoad:
-		if err := want(2); err != nil {
-			return nil, err
-		}
-		rd, err := parseReg(it.args[0])
-		if err != nil {
-			return fail("%v", err)
-		}
-		imm, base, err := parseMemOperand(it.args[1])
-		if err != nil {
-			return fail("%v", err)
-		}
-		in.Rd, in.Rs1, in.Imm = rd, base, imm
-	case oi.IsStore:
-		if err := want(2); err != nil {
-			return nil, err
-		}
-		rv, err := parseReg(it.args[0])
-		if err != nil {
-			return fail("%v", err)
-		}
-		imm, base, err := parseMemOperand(it.args[1])
-		if err != nil {
-			return fail("%v", err)
-		}
-		in.Rs2, in.Rs1, in.Imm = rv, base, imm
-	case op == isa.OpLi || op == isa.OpLih:
-		if err := want(2); err != nil {
-			return nil, err
-		}
-		rd, err := parseReg(it.args[0])
-		if err != nil {
-			return fail("%v", err)
-		}
-		v, err := parseInt(it.args[1])
-		if err != nil {
-			return fail("%v", err)
-		}
-		if v < -(1<<31) || v > (1<<31)-1 {
-			return fail("immediate %d does not fit in 32 bits (use li64)", v)
-		}
-		in.Rd, in.Imm = rd, int32(v)
-	case oi.ReadsRs2 && oi.WritesRd: // three-register ops
-		if err := want(3); err != nil {
-			return nil, err
-		}
-		rd, err := parseReg(it.args[0])
-		if err != nil {
-			return fail("%v", err)
-		}
-		rs1, err := parseReg(it.args[1])
-		if err != nil {
-			return fail("%v", err)
-		}
-		rs2, err := parseReg(it.args[2])
-		if err != nil {
-			return fail("%v", err)
-		}
-		in.Rd, in.Rs1, in.Rs2 = rd, rs1, rs2
-	case oi.ReadsRs1 && oi.WritesRd && oneOf(op, isa.OpFsqrt, isa.OpCvtIF, isa.OpCvtFI, isa.OpMovIF, isa.OpMovFI):
-		if err := want(2); err != nil {
-			return nil, err
-		}
-		rd, err := parseReg(it.args[0])
-		if err != nil {
-			return fail("%v", err)
-		}
-		rs1, err := parseReg(it.args[1])
-		if err != nil {
-			return fail("%v", err)
-		}
-		in.Rd, in.Rs1 = rd, rs1
-	case oi.ReadsRs1 && oi.WritesRd: // register-immediate ops
-		if err := want(3); err != nil {
-			return nil, err
-		}
-		rd, err := parseReg(it.args[0])
-		if err != nil {
-			return fail("%v", err)
-		}
-		rs1, err := parseReg(it.args[1])
-		if err != nil {
-			return fail("%v", err)
-		}
-		v, err := parseInt(it.args[2])
-		if err != nil {
-			return fail("%v", err)
-		}
-		if v < -(1<<31) || v > (1<<31)-1 {
-			return fail("immediate %d does not fit in 32 bits", v)
-		}
-		in.Rd, in.Rs1, in.Imm = rd, rs1, int32(v)
-	default:
-		return fail("unsupported instruction form %q", it.mnem)
 	}
 	return []isa.Inst{in}, nil
 }
 
 // branchTarget resolves a label or literal offset to a PC-relative byte
-// immediate.
+// immediate. Every label lies below prog.StackTop, so a label's offset
+// fits in 32 bits.
 func (a *assembler) branchTarget(arg string, pc uint64) (int32, error) {
 	if addr, ok := a.labels[arg]; ok {
-		off := int64(addr) - int64(pc)
-		if off < -(1<<31) || off > (1<<31)-1 {
-			return 0, fmt.Errorf("branch to %q out of range", arg)
-		}
-		return int32(off), nil
+		return int32(int64(addr) - int64(pc)), nil
 	}
-	v, err := parseInt(arg)
-	if err != nil {
+	if _, err := parseInt(arg); err != nil {
 		return 0, fmt.Errorf("undefined label or bad offset %q", arg)
 	}
-	if v < -(1<<31) || v > (1<<31)-1 {
-		return 0, fmt.Errorf("offset %d out of range", v)
-	}
-	return int32(v), nil
+	return parseImm(arg)
 }
 
 var regAliases = map[string]uint8{
@@ -490,17 +361,24 @@ func parseMemOperand(s string) (imm int32, base uint8, err error) {
 		return 0, 0, fmt.Errorf("bad memory operand %q (want imm(reg))", s)
 	}
 	if open > 0 {
-		v, err := parseInt(s[:open])
-		if err != nil {
+		if imm, err = parseImm(s[:open]); err != nil {
 			return 0, 0, err
 		}
-		if v < -(1<<31) || v > (1<<31)-1 {
-			return 0, 0, fmt.Errorf("displacement %d out of range", v)
-		}
-		imm = int32(v)
 	}
 	base, err = parseReg(s[open+1 : len(s)-1])
 	return imm, base, err
+}
+
+// parseImm parses an integer that must fit a 32-bit immediate.
+func parseImm(s string) (int32, error) {
+	v, err := parseInt(s)
+	if err != nil {
+		return 0, err
+	}
+	if int64(int32(v)) != v {
+		return 0, fmt.Errorf("immediate %d does not fit in 32 bits", v)
+	}
+	return int32(v), nil
 }
 
 func parseInt(s string) (int64, error) {
@@ -553,13 +431,4 @@ func validLabel(s string) bool {
 		}
 	}
 	return true
-}
-
-func oneOf(op isa.Op, ops ...isa.Op) bool {
-	for _, o := range ops {
-		if op == o {
-			return true
-		}
-	}
-	return false
 }

@@ -1,6 +1,8 @@
 package asm
 
 import (
+	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -195,28 +197,35 @@ func TestMultipleLabelsOneLine(t *testing.T) {
 	}
 }
 
+// errorCases are sources the assembler must refuse, each with a piece
+// of its error message. FuzzAssemble seeds from them too.
+var errorCases = []struct {
+	name, src, want string
+}{
+	{"unknown op", ".text\n frobnicate r1, r2\n", "unknown instruction"},
+	{"bad reg", ".text\n add r1, r99, r2\n", "bad register"},
+	{"bad operand count", ".text\n add r1, r2\n", "wants 3 operands"},
+	{"undefined label", ".text\n j nowhere\n", "undefined label"},
+	{"duplicate label", ".text\nx: nop\nx: nop\n", "duplicate label"},
+	{"inst in data", ".data\n add r1, r2, r3\n", "in .data section"},
+	{"word in text", ".text\n .word 5\n", "outside .data"},
+	{"bad label char", ".text\n1bad: nop\n", "invalid label"},
+	{"li too big", ".text\n li r1, 0x100000000\n", "does not fit"},
+	{"bad mem operand", ".text\n ld r1, r2\n", "bad memory operand"},
+	{"bad int", ".data\n .word xyz\n", "bad integer"},
+	{"bad float", ".data\n .float abc\n", "bad float"},
+	{"space past stack top", ".data\n .space 133169153\n", "runs past the stack top"},
+	{"align past stack top", ".data\n .word 1\n .align 133169153\n", "runs past the stack top"},
+	{"text into data", strings.Repeat("addi r1, r1, 1\n", 130561) + "halt\n.data\nx: .word 7\n",
+		"runs past the data segment"},
+}
+
 func TestErrors(t *testing.T) {
-	cases := []struct {
-		name, src, want string
-	}{
-		{"unknown op", ".text\n frobnicate r1, r2\n", "unknown instruction"},
-		{"bad reg", ".text\n add r1, r99, r2\n", "bad register"},
-		{"bad operand count", ".text\n add r1, r2\n", "wants 3 operands"},
-		{"undefined label", ".text\n j nowhere\n", "undefined label"},
-		{"duplicate label", ".text\nx: nop\nx: nop\n", "duplicate label"},
-		{"inst in data", ".data\n add r1, r2, r3\n", "in .data section"},
-		{"word in text", ".text\n .word 5\n", "outside .data"},
-		{"bad label char", ".text\n1bad: nop\n", "invalid label"},
-		{"li too big", ".text\n li r1, 0x100000000\n", "does not fit"},
-		{"bad mem operand", ".text\n ld r1, r2\n", "bad memory operand"},
-		{"bad int", ".data\n .word xyz\n", "bad integer"},
-		{"bad float", ".data\n .float abc\n", "bad float"},
-	}
-	for _, c := range cases {
+	for _, c := range errorCases {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := Assemble("e", c.src)
 			if err == nil {
-				t.Fatalf("no error for %q", c.src)
+				t.Fatalf("no error for %.80q", c.src)
 			}
 			if !strings.Contains(err.Error(), c.want) {
 				t.Errorf("error %q does not contain %q", err.Error(), c.want)
@@ -287,57 +296,71 @@ func TestHexAndNegative(t *testing.T) {
 	}
 }
 
-// TestDisassemblyRoundTrip: for representative instructions, the
-// disassembly printed by isa.Inst.String() is valid assembler input that
-// re-encodes to the identical instruction.
+// TestDisassemblyRoundTrip: for every opcode, the disassembly printed by
+// isa.Inst.String() is valid assembler input that re-encodes to the
+// identical instruction. Registers are drawn from 0..63 and immediates
+// from the whole int32 range, for the operands op.Args() lists; the
+// assembler leaves every other field zero.
 func TestDisassemblyRoundTrip(t *testing.T) {
-	insts := []isa.Inst{
-		{Op: isa.OpNop},
-		{Op: isa.OpHalt},
-		{Op: isa.OpAdd, Rd: 1, Rs1: 2, Rs2: 3},
-		{Op: isa.OpSub, Rd: 31, Rs1: 30, Rs2: 29},
-		{Op: isa.OpAddi, Rd: 4, Rs1: 5, Imm: -1000},
-		{Op: isa.OpAndi, Rd: 4, Rs1: 5, Imm: 255},
-		{Op: isa.OpSlli, Rd: 6, Rs1: 7, Imm: 3},
-		{Op: isa.OpSlt, Rd: 8, Rs1: 9, Rs2: 10},
-		{Op: isa.OpLi, Rd: 11, Imm: 42},
-		{Op: isa.OpLih, Rd: 12, Imm: 0x1234},
-		{Op: isa.OpMul, Rd: 13, Rs1: 14, Rs2: 15},
-		{Op: isa.OpDiv, Rd: 16, Rs1: 17, Rs2: 18},
-		{Op: isa.OpLd, Rd: 19, Rs1: 20, Imm: 64},
-		{Op: isa.OpLb, Rd: 19, Rs1: 20, Imm: -8},
-		{Op: isa.OpSd, Rs1: 21, Rs2: 22, Imm: 16},
-		{Op: isa.OpFld, Rd: isa.FPBase + 1, Rs1: 2, Imm: 8},
-		{Op: isa.OpFsd, Rs1: 2, Rs2: isa.FPBase + 1, Imm: 8},
-		{Op: isa.OpBeq, Rs1: 1, Rs2: 2, Imm: 32},
-		{Op: isa.OpBlt, Rs1: 3, Rs2: 4, Imm: -64},
-		{Op: isa.OpJ, Imm: 128},
-		{Op: isa.OpJal, Rd: isa.RegLink, Imm: 8},
-		{Op: isa.OpJr, Rs1: isa.RegLink},
-		{Op: isa.OpJalr, Rd: 5, Rs1: 6},
-		{Op: isa.OpFadd, Rd: isa.FPBase + 1, Rs1: isa.FPBase + 2, Rs2: isa.FPBase + 3},
-		{Op: isa.OpFdiv, Rd: isa.FPBase + 4, Rs1: isa.FPBase + 5, Rs2: isa.FPBase + 6},
-		{Op: isa.OpFsqrt, Rd: isa.FPBase + 7, Rs1: isa.FPBase + 8},
-		{Op: isa.OpFeq, Rd: 9, Rs1: isa.FPBase + 1, Rs2: isa.FPBase + 2},
-		{Op: isa.OpCvtIF, Rd: isa.FPBase + 9, Rs1: 10},
-		{Op: isa.OpCvtFI, Rd: 11, Rs1: isa.FPBase + 10},
-		{Op: isa.OpMovIF, Rd: isa.FPBase + 11, Rs1: 12},
-		{Op: isa.OpMovFI, Rd: 13, Rs1: isa.FPBase + 12},
-		{Op: isa.OpOut, Rs1: 14},
+	rng := rand.New(rand.NewSource(1))
+	for op := isa.Op(0); op < isa.NumOps; op++ {
+		for range 20 {
+			want := isa.Inst{Op: op}
+			for _, arg := range op.Args() {
+				switch arg {
+				case isa.ArgRd:
+					want.Rd = uint8(rng.Intn(isa.NumRegs))
+				case isa.ArgRs1:
+					want.Rs1 = uint8(rng.Intn(isa.NumRegs))
+				case isa.ArgRs2:
+					want.Rs2 = uint8(rng.Intn(isa.NumRegs))
+				case isa.ArgImm, isa.ArgTarget:
+					want.Imm = int32(rng.Uint32())
+				case isa.ArgMem:
+					want.Imm = int32(rng.Uint32())
+					want.Rs1 = uint8(rng.Intn(isa.NumRegs))
+				}
+			}
+			src := ".text\n" + want.String() + "\n"
+			p, err := Assemble("rt", src)
+			if err != nil {
+				t.Errorf("%v: disassembly %q does not assemble: %v", want.Op, want.String(), err)
+				continue
+			}
+			if len(p.Text) != 1 {
+				t.Errorf("%q assembled to %d instructions", want.String(), len(p.Text))
+				continue
+			}
+			if p.Text[0] != want {
+				t.Errorf("round trip %q: got %+v, want %+v", want.String(), p.Text[0], want)
+			}
+		}
 	}
-	for _, want := range insts {
-		src := ".text\n" + want.String() + "\n"
-		p, err := Assemble("rt", src)
-		if err != nil {
-			t.Errorf("%v: disassembly %q does not assemble: %v", want.Op, want.String(), err)
-			continue
-		}
-		if len(p.Text) != 1 {
-			t.Errorf("%q assembled to %d instructions", want.String(), len(p.Text))
-			continue
-		}
-		if p.Text[0] != want {
-			t.Errorf("round trip %q: got %+v, want %+v", want.String(), p.Text[0], want)
+}
+
+// TestLayoutLimits: text may fill the space up to DataBase; an li64
+// that needs one slot more, or one data byte past StackTop, is refused
+// at the line that asks for it. prog's TestCheckLayout pins the data
+// limit itself without allocating it.
+func TestLayoutLimits(t *testing.T) {
+	const maxInsts = (prog.DataBase - prog.TextBase) / isa.InstBytes
+	const maxData = prog.StackTop - prog.DataBase
+	p := mustAssemble(t, strings.Repeat("nop\n", maxInsts-1)+"end: halt\n")
+	if len(p.Text) != maxInsts || p.Symbols["end"] != prog.DataBase-isa.InstBytes {
+		t.Errorf("full text: %d insts, end at %#x", len(p.Text), p.Symbols["end"])
+	}
+	for _, c := range []struct {
+		src  string
+		line int
+	}{
+		{strings.Repeat("nop\n", maxInsts-1) + "li64 r1, 5\n", maxInsts},
+		{".data\n.word 7\n.space " + strconv.Itoa(maxData-7) + "\n", 3},
+		{".data\n.space 1\n.float 1.5\n.align " + strconv.Itoa(maxData+1) + "\n", 4},
+	} {
+		_, err := Assemble("e", c.src)
+		aerr, ok := err.(*Error)
+		if !ok || aerr.Line != c.line || !strings.Contains(aerr.Msg, "runs past") {
+			t.Errorf("%.40q...: error %v, want a layout error at line %d", c.src, err, c.line)
 		}
 	}
 }

@@ -246,8 +246,12 @@ func (c Config) Normalized() Config {
 	if c.Majority && c.MajorityThreshold == 0 {
 		c.MajorityThreshold = c.R/2 + 1
 	}
-	if c.Fault.Enabled() && len(c.Fault.Targets) == 0 {
-		c.Fault.Targets = []fault.Target{fault.TargetResult}
+	if len(c.Fault.Targets) == 0 {
+		// An empty list and an absent one are the same config.
+		c.Fault.Targets = nil
+		if c.Fault.Enabled() {
+			c.Fault.Targets = []fault.Target{fault.TargetResult}
+		}
 	}
 	if c.Name == "" {
 		c.Name = displayName(c.Model, c.R)

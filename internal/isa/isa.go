@@ -16,7 +16,10 @@
 // advances by InstBytes. Immediates are 32-bit and sign-extended.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Register file layout.
 const (
@@ -258,6 +261,55 @@ var opInfos = [NumOps]OpInfo{
 	OpMovFI: {Name: "movfi", Pool: PoolIntALU, Latency: 1, Pipelined: true, ReadsRs1: true, WritesRd: true},
 }
 
+// Arg is one operand of an instruction's assembly syntax.
+type Arg uint8
+
+const (
+	ArgRd     Arg = iota // destination register
+	ArgRs1               // first source register
+	ArgRs2               // second source register
+	ArgImm               // 32-bit immediate
+	ArgTarget            // PC-relative byte offset; a label in source
+	ArgMem               // imm(rs1)
+)
+
+// Args returns the operands of op in assembly order. It is the one
+// statement of SRISC operand syntax: Inst.String prints it and the
+// assembler parses it. The slice is shared and must not be modified.
+func (op Op) Args() []Arg { return opArgs[op] }
+
+var opArgs = func() (t [NumOps][]Arg) {
+	for op := Op(0); op < NumOps; op++ {
+		oi := &opInfos[op]
+		switch {
+		case op == OpNop || op == OpHalt:
+		case op == OpOut || op == OpJr:
+			t[op] = []Arg{ArgRs1}
+		case op == OpJ:
+			t[op] = []Arg{ArgTarget}
+		case op == OpJal:
+			t[op] = []Arg{ArgRd, ArgTarget}
+		case op == OpLi || op == OpLih:
+			t[op] = []Arg{ArgRd, ArgImm}
+		case oi.IsBranch:
+			t[op] = []Arg{ArgRs1, ArgRs2, ArgTarget}
+		case oi.IsLoad:
+			t[op] = []Arg{ArgRd, ArgMem}
+		case oi.IsStore:
+			t[op] = []Arg{ArgRs2, ArgMem}
+		case oi.ReadsRs2:
+			t[op] = []Arg{ArgRd, ArgRs1, ArgRs2}
+		// jalr and the unary register-to-register operations take no
+		// immediate.
+		case op == OpJalr || op == OpFsqrt || op == OpCvtIF || op == OpCvtFI || op == OpMovIF || op == OpMovFI:
+			t[op] = []Arg{ArgRd, ArgRs1}
+		default: // register-immediate
+			t[op] = []Arg{ArgRd, ArgRs1, ArgImm}
+		}
+	}
+	return t
+}()
+
 // Info returns the static description of op. It panics on an invalid
 // opcode, which indicates a decoder bug rather than a recoverable error.
 func Info(op Op) *OpInfo {
@@ -357,36 +409,28 @@ func RegName(r uint8) string {
 	return fmt.Sprintf("reg(%d)", r)
 }
 
-// String disassembles the instruction.
+// String disassembles the instruction: the mnemonic, then the operands
+// of Op.Args separated by commas.
 func (in Inst) String() string {
-	oi := in.Info()
-	switch {
-	case in.Op == OpNop || in.Op == OpHalt:
-		return oi.Name
-	case in.Op == OpOut || in.Op == OpJr:
-		return fmt.Sprintf("%s %s", oi.Name, RegName(in.Rs1))
-	case in.Op == OpJ:
-		return fmt.Sprintf("%s %d", oi.Name, in.Imm)
-	case in.Op == OpJal:
-		return fmt.Sprintf("%s %s, %d", oi.Name, RegName(in.Rd), in.Imm)
-	case in.Op == OpJalr:
-		return fmt.Sprintf("%s %s, %s", oi.Name, RegName(in.Rd), RegName(in.Rs1))
-	case in.Op == OpLi || in.Op == OpLih:
-		return fmt.Sprintf("%s %s, %d", oi.Name, RegName(in.Rd), in.Imm)
-	case oi.IsBranch:
-		return fmt.Sprintf("%s %s, %s, %d", oi.Name, RegName(in.Rs1), RegName(in.Rs2), in.Imm)
-	case oi.IsLoad:
-		return fmt.Sprintf("%s %s, %d(%s)", oi.Name, RegName(in.Rd), in.Imm, RegName(in.Rs1))
-	case oi.IsStore:
-		return fmt.Sprintf("%s %s, %d(%s)", oi.Name, RegName(in.Rs2), in.Imm, RegName(in.Rs1))
-	case oi.ReadsRs2:
-		return fmt.Sprintf("%s %s, %s, %s", oi.Name, RegName(in.Rd), RegName(in.Rs1), RegName(in.Rs2))
-	case in.Op == OpFsqrt || in.Op == OpCvtIF || in.Op == OpCvtFI || in.Op == OpMovIF || in.Op == OpMovFI:
-		// Unary register-to-register operations take no immediate.
-		return fmt.Sprintf("%s %s, %s", oi.Name, RegName(in.Rd), RegName(in.Rs1))
-	case oi.ReadsRs1 && oi.WritesRd:
-		return fmt.Sprintf("%s %s, %s, %d", oi.Name, RegName(in.Rd), RegName(in.Rs1), in.Imm)
-	default:
-		return fmt.Sprintf("%s %s, %s, %s, %d", oi.Name, RegName(in.Rd), RegName(in.Rs1), RegName(in.Rs2), in.Imm)
+	b := []byte(in.Info().Name)
+	for i, a := range in.Op.Args() {
+		if i == 0 {
+			b = append(b, ' ')
+		} else {
+			b = append(b, ", "...)
+		}
+		switch a {
+		case ArgRd:
+			b = append(b, RegName(in.Rd)...)
+		case ArgRs1:
+			b = append(b, RegName(in.Rs1)...)
+		case ArgRs2:
+			b = append(b, RegName(in.Rs2)...)
+		case ArgImm, ArgTarget:
+			b = strconv.AppendInt(b, int64(in.Imm), 10)
+		case ArgMem:
+			b = fmt.Appendf(b, "%d(%s)", in.Imm, RegName(in.Rs1))
+		}
 	}
+	return string(b)
 }

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"os"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -314,6 +315,26 @@ func TestDisassembly(t *testing.T) {
 		s := Inst{Op: op, Rd: 1, Rs1: 2, Rs2: 3, Imm: 4}.String()
 		if !strings.HasPrefix(s, op.String()) {
 			t.Errorf("disassembly %q does not start with mnemonic %q", s, op.String())
+		}
+	}
+	// Every opcode under two field sets, one line each, pinned in
+	// testdata/disasm.golden.
+	golden, err := os.ReadFile("testdata/disasm.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(golden), "\n"), "\n")
+	if len(want) != 2*int(NumOps) {
+		t.Fatalf("disasm.golden has %d lines, want %d", len(want), 2*NumOps)
+	}
+	for op := Op(0); op < NumOps; op++ {
+		for i, in := range []Inst{
+			{Op: op, Rd: 1, Rs1: 2, Rs2: 3, Imm: 4},
+			{Op: op, Rd: FPBase + 31, Rs1: FPBase, Rs2: 17, Imm: -1 << 31},
+		} {
+			if got := in.String(); got != want[2*int(op)+i] {
+				t.Errorf("(%+v).String() = %q, golden %q", in, got, want[2*int(op)+i])
+			}
 		}
 	}
 }

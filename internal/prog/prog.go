@@ -24,6 +24,19 @@ const (
 	StackTop = 0x0800_0000
 )
 
+// CheckLayout reports an error unless textInsts instructions and
+// dataBytes bytes of static data fit the memory layout: the text must end
+// at or below DataBase and the data at or below StackTop.
+func CheckLayout(textInsts, dataBytes uint64) error {
+	if textInsts > (DataBase-TextBase)/isa.InstBytes {
+		return fmt.Errorf("text of %d instructions runs past the data segment at %#x", textInsts, DataBase)
+	}
+	if dataBytes > StackTop-DataBase {
+		return fmt.Errorf("data of %d bytes runs past the stack top at %#x", dataBytes, StackTop)
+	}
+	return nil
+}
+
 // Program is a loadable SRISC program image. Its fields must not change
 // once the program is first loaded: every load maps the same read-only
 // memory image, built from them once.
@@ -233,6 +246,9 @@ func (b *Builder) Build() (*Program, error) {
 	if len(b.errs) > 0 {
 		return nil, b.errs[0]
 	}
+	if err := CheckLayout(uint64(len(b.insts)), uint64(len(b.data))); err != nil {
+		return nil, fmt.Errorf("prog: %w", err)
+	}
 	syms := make(map[string]uint64, len(b.labels))
 	for name, idx := range b.labels {
 		syms[name] = TextBase + uint64(idx)*isa.InstBytes
@@ -246,11 +262,9 @@ func (b *Builder) Build() (*Program, error) {
 		case fixRelative:
 			b.insts[f.inst].Imm = int32((idx - f.inst) * isa.InstBytes)
 		case fixAbsolute:
-			addr := TextBase + uint64(idx)*isa.InstBytes
-			if addr > 0x7FFF_FFFF {
-				return nil, fmt.Errorf("prog: label %q address %#x exceeds immediate range", f.label, addr)
-			}
-			b.insts[f.inst].Imm = int32(addr)
+			// The layout check keeps every text address below
+			// DataBase, inside the immediate's range.
+			b.insts[f.inst].Imm = int32(TextBase + idx*isa.InstBytes)
 		}
 	}
 	return &Program{

@@ -45,6 +45,43 @@ func TestBuilderErrors(t *testing.T) {
 	}
 }
 
+// TestCheckLayout: text may end exactly at DataBase and data exactly at
+// StackTop; one instruction or byte more is an error, and so is a
+// program that overruns either segment in Builder.Build.
+func TestCheckLayout(t *testing.T) {
+	const maxInsts = (DataBase - TextBase) / isa.InstBytes
+	const maxData = StackTop - DataBase
+	if maxInsts != 130_560 || maxData != 133_169_152 {
+		t.Fatalf("limits %d insts, %d bytes", maxInsts, maxData)
+	}
+	for _, c := range []struct {
+		insts, data uint64
+		ok          bool
+	}{
+		{0, 0, true},
+		{maxInsts, maxData, true},
+		{maxInsts + 1, 0, false},
+		{0, maxData + 1, false},
+		{^uint64(0), ^uint64(0), false},
+	} {
+		if err := CheckLayout(c.insts, c.data); (err == nil) != c.ok {
+			t.Errorf("CheckLayout(%d, %d) = %v, want ok=%v", c.insts, c.data, err, c.ok)
+		}
+	}
+
+	b := NewBuilder("long")
+	for range maxInsts {
+		b.Nop()
+	}
+	if _, err := b.Build(); err != nil {
+		t.Errorf("full text refused: %v", err)
+	}
+	b.Halt()
+	if _, err := b.Build(); err == nil {
+		t.Error("text past DataBase built")
+	}
+}
+
 func TestLiExpansion(t *testing.T) {
 	cases := []struct {
 		v       int64
