@@ -38,10 +38,10 @@ type Client struct {
 	// failed requests: transport errors (connection refused, reset) and
 	// 5xx responses. 0 disables retrying. 4xx responses other than 429
 	// are never retried — the request itself is wrong. Note a transport
-	// error leaves unknown whether the daemon acted on the request;
-	// retried Submits can in principle double-submit on a half-open
-	// connection, so idempotency-sensitive callers (the coordinator)
-	// reconcile by listing.
+	// error leaves unknown whether the daemon acted on the request: a
+	// Submit retried after a half-open connection can queue the job
+	// twice, and neither this client nor the coordinator, which submits
+	// shards with retries, detects or cancels the duplicate.
 	Retries int
 	// RetryBackoff is the wait before the first retry, doubled each
 	// further attempt and capped at 2s. <= 0 means 100ms.

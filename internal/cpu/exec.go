@@ -137,9 +137,7 @@ func (m *Machine) tryIssueEntry(idx int, e *Entry) issueResult {
 	e.FUPool = oi.Pool
 	e.FUUnit = unit
 	e.DoneAt = m.cycle + uint64(latency)
-	if m.eventSched {
-		m.cal.insert(m.cycle, e.DoneAt, int32(idx), e.Seq)
-	}
+	m.cal.insert(m.cycle, e.DoneAt, int32(idx), e.Seq)
 	m.emit(trace.StageIssue, e)
 	m.stats.Issued++
 	return issueOK

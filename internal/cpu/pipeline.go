@@ -58,13 +58,13 @@ type Machine struct {
 
 	mapTable [isa.NumRegs]mapRef
 
-	// Event-driven scheduling state (see sched.go). eventSched gates the
-	// feeding of these structures; the retained scan-based reference
-	// scheduler (test files only) clears it and installs its own stage
-	// functions via issueFn/writebackFn.
-	eventSched  bool
-	issueFn     func()
-	writebackFn func()
+	// Event-driven scheduling state (see sched.go). issueFn and
+	// writebackFn are the issue and writeback stages, method
+	// expressions so Reset installs them without allocating; the
+	// retained scan-based reference scheduler (test files only)
+	// installs its own.
+	issueFn     func(*Machine)
+	writebackFn func(*Machine)
 	waitlists   [][]waiter // per-RUU-slot consumer lists
 	ready       readySet
 	cal         calendar
@@ -204,8 +204,8 @@ func (m *Machine) RunContext(ctx context.Context) (*Stats, error) {
 		if m.halted || m.stopped {
 			break
 		}
-		m.writebackFn()
-		m.issueFn()
+		m.writebackFn(m)
+		m.issueFn(m)
 		m.dispatch()
 		m.fetch()
 
@@ -375,7 +375,7 @@ func (m *Machine) dispatch() {
 			} else {
 				m.renameCopyK(idx, e, copy0, k)
 			}
-			if m.eventSched && e.ready() {
+			if e.ready() {
 				m.ready.add(idx, issueClass(e))
 			}
 			m.emit(trace.StageDispatch, e)
@@ -429,9 +429,7 @@ func (m *Machine) renameCopy0(idx int, e *Entry) {
 			continue
 		}
 		op.Ready = false
-		if m.eventSched {
-			m.watch(ref.idx, idx, e.Seq, i)
-		}
+		m.watch(ref.idx, idx, e.Seq, i)
 	}
 }
 
@@ -466,8 +464,6 @@ func (m *Machine) renameCopyK(idx int, e *Entry, copy0 *Entry, k int) {
 			continue
 		}
 		op.Ready = false
-		if m.eventSched {
-			m.watch(prodIdx, idx, e.Seq, i)
-		}
+		m.watch(prodIdx, idx, e.Seq, i)
 	}
 }

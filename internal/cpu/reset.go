@@ -118,11 +118,8 @@ func (m *Machine) resetHardware(cfg Config) {
 	// allocate. A machine the scan-based reference scheduler was
 	// installed on (test files only) comes back to the event kernel.
 	storage := m.ruu.size()
-	if m.issueFn == nil || !m.eventSched {
-		m.eventSched = true
-		m.issueFn = m.issueEvent
-		m.writebackFn = m.writebackEvent
-	}
+	m.issueFn = (*Machine).issueEvent
+	m.writebackFn = (*Machine).writebackEvent
 	if len(m.waitlists) != storage {
 		slab := make([]waiter, storage*watchCap)
 		m.waitlists = make([][]waiter, storage)

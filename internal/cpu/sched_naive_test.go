@@ -10,13 +10,13 @@ import "repro/internal/trace"
 // kernels produce identical results; it is not built into the simulator.
 
 // useNaiveScheduler switches a freshly built machine onto the reference
-// scan scheduler. It must be called before Run.
+// scan scheduler. It must be called before Run. The datapath still
+// feeds the event structures; the reference stages ignore the ready
+// set and wait-lists, whose slots dispatch clears on reuse, and drain
+// the calendar so it stays bounded.
 func useNaiveScheduler(m *Machine) {
-	m.eventSched = false
-	clear(m.ready.words)
-	m.cal.reset()
-	m.issueFn = m.issueScanRef
-	m.writebackFn = m.writebackScanRef
+	m.issueFn = (*Machine).issueScanRef
+	m.writebackFn = (*Machine).writebackScanRef
 }
 
 // issueScanRef is the original issue stage: scan all valid entries
@@ -42,6 +42,7 @@ func (m *Machine) issueScanRef() {
 // whose DoneAt has arrived, oldest first so the eldest mispredicted
 // branch squashes before younger completions are looked at.
 func (m *Machine) writebackScanRef() {
+	m.cal.drain(m.cycle)
 	m.ruu.forEach(func(idx int, e *Entry) bool {
 		if !e.InFlight || e.DoneAt > m.cycle {
 			return true

@@ -83,8 +83,8 @@ func TestAllocHandsOutZeroSlots(t *testing.T) {
 			if err := m.commit(); err != nil {
 				t.Fatal(err)
 			}
-			m.writebackFn()
-			m.issueFn()
+			m.writebackFn(m)
+			m.issueFn(m)
 			for k := m.ruu.count; k < m.ruu.size(); k++ {
 				if idx := m.ruu.wrap(m.ruu.head + k); *m.ruu.at(idx) != (Entry{}) {
 					t.Fatalf("cycle %d: free slot %d is %+v", m.cycle, idx, *m.ruu.at(idx))

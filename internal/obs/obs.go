@@ -28,8 +28,9 @@ package obs
 
 import (
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -92,7 +93,7 @@ func (r *Registry) register(name, help string, kind Kind, labels []string, bucke
 	defer r.mu.Unlock()
 	if f := r.fams[name]; f != nil {
 		if f.kind != kind || f.help != help ||
-			!equalStrings(f.labels, labels) || !equalFloats(f.buckets, buckets) {
+			!slices.Equal(f.labels, labels) || !slices.Equal(f.buckets, buckets) {
 			panic(fmt.Sprintf("obs: metric %q re-registered with a different shape", name))
 		}
 		return f
@@ -105,30 +106,6 @@ func (r *Registry) register(name, help string, kind Kind, labels []string, bucke
 	}
 	r.fams[name] = f
 	return f
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalFloats(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // key joins label values into the series map key. \xff cannot appear in
@@ -160,11 +137,7 @@ func (f *family) with(values []string, make func() any) any {
 func (f *family) sortedSeries() (keys []string, vals []any) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	keys = make([]string, 0, len(f.series))
-	for k := range f.series {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys = slices.Sorted(maps.Keys(f.series))
 	vals = make([]any, len(keys))
 	for i, k := range keys {
 		vals[i] = f.series[k]

@@ -26,23 +26,19 @@ type Backend interface {
 }
 
 // Job is a backend's view of one admitted campaign: the resolved
-// request, the compiled trial grid, and write paths back into the
-// server's job table and event stream. All callbacks are safe for
-// concurrent use.
+// request and write paths back into the server's job table and event
+// stream. All callbacks are safe for concurrent use.
 type Job struct {
 	// ID is the job identifier (also the SSE stream name).
 	ID string
 	// Request is the resolved submission: server defaults applied,
-	// configs normalized, labels generated. A distributed backend can
-	// forward slices of it to workers verbatim.
+	// configs normalized, labels generated. The local backend builds
+	// its programs when it runs; a distributed backend forwards slices
+	// of it to workers verbatim.
 	Request *api.CampaignRequest
-	// Trials is the compiled grid, aligned with Request.Trials, for the
-	// local backend only. A distributed backend gets nil: it forwards
-	// Request, and its workers compile.
-	Trials []ftsim.Trial
-	// SeedOffset is the parent-grid index of Trials[0]: nonzero exactly
-	// when the request is a shard of a larger campaign, in which case
-	// per-trial seeds must derive from SeedOffset+i, not i.
+	// SeedOffset is the parent-grid index of Request.Trials[0]: nonzero
+	// exactly when the request is a shard of a larger campaign, in
+	// which case per-trial seeds must derive from SeedOffset+i, not i.
 	SeedOffset int
 
 	publish  func(api.Event)
@@ -85,6 +81,15 @@ type Result struct {
 type localBackend struct{ s *Server }
 
 func (b localBackend) Run(ctx context.Context, j *Job) (*Result, error) {
+	trials := make([]ftsim.Trial, len(j.Request.Trials))
+	for i := range j.Request.Trials {
+		ts := &j.Request.Trials[i]
+		prog, err := b.s.program(ts)
+		if err != nil {
+			return nil, fmt.Errorf("trial %d: %w", i, err)
+		}
+		trials[i] = ftsim.Trial{Label: ts.Label, Config: ts.Config, Program: prog}
+	}
 	workers := j.Request.Workers
 	if workers == 0 {
 		workers = b.s.cfg.WorkersPerJob
@@ -125,7 +130,7 @@ func (b localBackend) Run(ctx context.Context, j *Job) (*Result, error) {
 			ftsim.WithCheckpointFlushEvery(b.s.cfg.FlushEvery))
 	}
 
-	rep, err := ftsim.RunCampaign(ctx, j.ID, j.Trials, opts...)
+	rep, err := ftsim.RunCampaign(ctx, j.ID, trials, opts...)
 	res := &Result{}
 	if rep != nil {
 		res.Resumed = rep.Resumed
@@ -153,19 +158,18 @@ func (b localBackend) Run(ctx context.Context, j *Job) (*Result, error) {
 // updates through the server's mutex.
 func (s *Server) backendView(j *job) *Job {
 	return &Job{
-		ID:         j.id,
+		ID:         j.ID,
 		Request:    j.req,
-		Trials:     j.trials,
-		SeedOffset: j.seedOffset,
+		SeedOffset: seedOffset(j.req),
 		publish:    j.hub.Publish,
 		progress: func(done, failed int) {
 			s.mu.Lock()
-			j.done, j.failed = done, failed
+			j.Done, j.Failed = done, failed
 			s.mu.Unlock()
 		},
 		shards: func(total, done int) {
 			s.mu.Lock()
-			j.shards, j.shardsDone = total, done
+			j.Shards, j.ShardsDone = total, done
 			s.mu.Unlock()
 		},
 	}

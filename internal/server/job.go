@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -12,71 +13,35 @@ import (
 )
 
 // job is one submitted campaign moving through the lifecycle state
-// machine (api.JobState). All mutable fields are guarded by the
-// server's mutex; the hub has its own lock and may be used without it.
+// machine (api.JobState): its wire status plus its resolved request.
+// The embedded status is guarded by the server's mutex; Started and
+// Finished are replaced, never written through, so a copy of the
+// status is a snapshot. The hub has its own lock and may be used
+// without s.mu.
 type job struct {
-	id         string
-	owner      string
-	name       string
+	api.JobStatus
 	req        *api.CampaignRequest
-	trials     []ftsim.Trial // compiled req.Trials; nil under a distributed backend and once terminal
-	seedOffset int           // parent-grid index of trials[0] (shard requests)
-	submitted  time.Time
 	hub        *sse.Hub
-
-	state      api.JobState
-	started    time.Time
-	finished   time.Time
-	done       int // completed trials, including resumed ones
-	failed     int
-	resumed    int
-	shards     int // shard counters, maintained by distributed backends
-	shardsDone int
-	errMsg     string
-	statsJSON  []byte
 	cancelRun  context.CancelFunc // set while running
 	userCancel bool               // DELETE requested, vs. server drain
 }
 
-// status snapshots the job as a wire JobStatus. Caller holds s.mu.
+// status snapshots the job's wire status. Caller holds s.mu.
 func (j *job) status() *api.JobStatus {
-	st := &api.JobStatus{
-		ID:         j.id,
-		Name:       j.name,
-		State:      j.state,
-		Owner:      j.owner,
-		Trials:     len(j.req.Trials),
-		Done:       j.done,
-		Failed:     j.failed,
-		Resumed:    j.resumed,
-		Shards:     j.shards,
-		ShardsDone: j.shardsDone,
-		Submitted:  j.submitted,
-		Error:      j.errMsg,
-		Stats:      j.statsJSON,
-	}
-	if !j.started.IsZero() {
-		t := j.started
-		st.Started = &t
-	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		st.Finished = &t
-	}
-	return st
+	st := j.JobStatus
+	return &st
 }
 
-// buildJob validates and resolves a submission into a runnable job.
+// buildJob validates and resolves a submission into a queued job.
 // Resolution is written back into the request — default benchmark,
 // default instruction budget, normalized configs, generated labels and
 // name — so the persisted submission record replays to the identical
 // campaign (same checkpoint-journal hash) on a daemon restart, even if
 // the server's defaults change in between.
 //
-// Programs are compiled only for the local backend. A distributed
-// backend forwards the request and its workers build: here benchmark
-// names are only looked up and assembly is assembled only to refuse
-// bad source with a 400.
+// No program is built here, whatever the backend: benchmark names are
+// looked up and assembly is assembled only to refuse bad source with a
+// 400. The local backend builds the programs when the job runs.
 func (s *Server) buildJob(req *api.CampaignRequest, owner string) (*job, error) {
 	if len(req.Trials) == 0 {
 		return nil, errors.New("campaign has no trials")
@@ -84,42 +49,27 @@ func (s *Server) buildJob(req *api.CampaignRequest, owner string) (*job, error) 
 	if req.Seed == 0 {
 		req.Seed = 1
 	}
-	offset := 0
-	if req.Shard != nil {
-		offset = req.Shard.Offset
-	}
-	local := s.cfg.Backend == nil
-	var trials []ftsim.Trial
-	if local {
-		trials = make([]ftsim.Trial, len(req.Trials))
-	}
 	for i := range req.Trials {
 		ts := &req.Trials[i]
-		var prog *ftsim.Program
-		var name string
-		var err error
+		name := ts.Benchmark // the trial's part of generated labels and the job name
 		if ts.Asm != "" {
-			name = ts.Label
-			if name == "" {
-				name = fmt.Sprintf("asm-%d", i)
-			}
-			name += ".s"
-			prog, err = ftsim.Assemble(name, ts.Asm)
-		} else {
-			if ts.Benchmark == "" {
-				ts.Benchmark = s.cfg.DefaultBenchmark
-			}
+			name = cmp.Or(ts.Label, fmt.Sprintf("asm-%d", i)) + ".s"
+		} else if name == "" {
+			ts.Benchmark = s.cfg.DefaultBenchmark
 			name = ts.Benchmark
-			build, known := s.programs[name]
-			switch {
-			case !known:
-				_, err = ftsim.Benchmark(name) // fails with ErrUnknownBenchmark, building nothing
-			case local:
-				prog, err = build()
-			}
 		}
-		if err != nil {
-			return nil, fmt.Errorf("trial %d: %w", i, err)
+		if ts.Label == "" {
+			// Shard requests label by parent-grid index, so a sharded
+			// run's streams and manifests name trials exactly as the
+			// unsharded run would.
+			ts.Label = fmt.Sprintf("%d/%s", seedOffset(req)+i, name)
+		}
+		// Only assembly and unknown names are worth trying here: a
+		// Table 2 program is built when the job runs.
+		if _, known := s.programs[ts.Benchmark]; ts.Asm != "" || !known {
+			if _, err := s.program(ts); err != nil {
+				return nil, fmt.Errorf("trial %d: %w", i, err)
+			}
 		}
 		cfg := ts.Config.Normalized()
 		if cfg.MaxInsts == 0 && cfg.MaxCycles == 0 {
@@ -132,27 +82,38 @@ func (s *Server) buildJob(req *api.CampaignRequest, owner string) (*job, error) 
 			return nil, fmt.Errorf("trial %d: %w", i, err)
 		}
 		ts.Config = cfg
-		if ts.Label == "" {
-			// Shard requests label by parent-grid index, so a sharded
-			// run's streams and manifests name trials exactly as the
-			// unsharded run would.
-			ts.Label = fmt.Sprintf("%d/%s", offset+i, name)
-		}
-		if local {
-			trials[i] = ftsim.Trial{Label: ts.Label, Config: cfg, Program: prog}
-		}
 		if req.Name == "" {
 			req.Name = name
 		}
 	}
 	return &job{
-		owner:      owner,
-		name:       req.Name,
-		req:        req,
-		trials:     trials,
-		seedOffset: offset,
-		state:      api.StateQueued,
+		JobStatus: api.JobStatus{Name: req.Name, State: api.StateQueued, Owner: owner, Trials: len(req.Trials)},
+		req:       req,
 	}, nil
+}
+
+// program returns trial ts's program: a Table 2 benchmark from the
+// daemon's shared table, or the trial's assembly, assembled under its
+// resolved label plus ".s" — the one name it has at admission, at run
+// and after a restart, so a resumed journal's campaign hash matches.
+func (s *Server) program(ts *api.TrialSpec) (*ftsim.Program, error) {
+	if ts.Asm != "" {
+		return ftsim.Assemble(ts.Label+".s", ts.Asm)
+	}
+	build, known := s.programs[ts.Benchmark]
+	if !known {
+		return ftsim.Benchmark(ts.Benchmark) // fails with ErrUnknownBenchmark, building nothing
+	}
+	return build()
+}
+
+// seedOffset is the parent-grid index of req's first trial: nonzero
+// exactly when req is a shard of a larger campaign.
+func seedOffset(req *api.CampaignRequest) int {
+	if req.Shard == nil {
+		return 0
+	}
+	return req.Shard.Offset
 }
 
 // scheduler is one job-execution slot: it pulls queued jobs in
@@ -178,7 +139,7 @@ func (s *Server) nextQueued() *job {
 		for len(s.fifo) > 0 {
 			j := s.fifo[0]
 			s.fifo = s.fifo[1:]
-			if j.state == api.StateQueued {
+			if j.State == api.StateQueued {
 				return j
 			}
 		}
@@ -189,30 +150,29 @@ func (s *Server) nextQueued() *job {
 	}
 }
 
-// runJob executes one campaign: queued → running, then RunCampaign
-// with checkpointing, live progress and interval streaming, then the
-// terminal transition. A drain cancellation re-queues the job instead
-// of finishing it, so a restarted daemon resumes it from the journal.
+// runJob executes one campaign: queued → running, then the backend,
+// then the terminal transition. A drain cancellation re-queues the job
+// instead of finishing it, so a restarted daemon resumes it from the
+// journal.
 func (s *Server) runJob(j *job) {
 	ctx, cancel := context.WithCancel(s.runCtx)
 	defer cancel()
 
 	s.mu.Lock()
-	if j.state != api.StateQueued || s.draining {
+	if j.State != api.StateQueued || s.draining {
 		s.mu.Unlock()
 		return
 	}
-	j.state = api.StateRunning
-	j.started = time.Now().UTC()
-	j.cancelRun = cancel
+	started := time.Now().UTC()
+	j.State, j.Started, j.cancelRun = api.StateRunning, &started, cancel
 	s.m.queueDepth.Dec()
 	s.m.running.Inc()
-	s.m.queueWait.Observe(j.started.Sub(j.submitted).Seconds())
+	s.m.queueWait.Observe(started.Sub(j.Submitted).Seconds())
 	s.mu.Unlock()
-	jlog := s.logger.With("job", j.id)
+	jlog := s.logger.With("job", j.ID)
 	ctx = withLogger(ctx, jlog)
-	jlog.Info("job running", "name", j.name, "trials", len(j.req.Trials),
-		"queue_wait", j.started.Sub(j.submitted))
+	jlog.Info("job running", "name", j.Name, "trials", j.Trials,
+		"queue_wait", started.Sub(j.Submitted))
 	j.hub.Publish(api.Event{Type: api.EventState, State: api.StateRunning})
 
 	backend := s.cfg.Backend
@@ -228,46 +188,49 @@ func (s *Server) runJob(j *job) {
 	j.cancelRun = nil
 	s.m.running.Dec()
 	if res != nil {
-		j.resumed = res.Resumed
-		j.failed = res.Failed
+		j.Resumed, j.Failed = res.Resumed, res.Failed
 	}
 	switch {
 	case err == nil:
-		j.done = res.Done
-		j.statsJSON = res.Stats
-		j.state = api.StateDone
+		j.State, j.Done, j.Stats = api.StateDone, res.Done, res.Stats
 	case j.userCancel:
-		j.state = api.StateCancelled
+		j.State = api.StateCancelled
 	case s.runCtx.Err() != nil:
 		// Server drain, not a client cancel: put the job back in queued
 		// state and stop. Its journal was flushed on the way out
 		// (fsync-on-drain), so a restarted daemon re-queues it and
 		// resumes the completed trials instead of re-running them.
-		j.state = api.StateQueued
-		j.started = time.Time{}
-		j.done, j.failed, j.resumed, j.shardsDone = 0, 0, 0, 0
+		j.State, j.Started = api.StateQueued, nil
+		j.Done, j.Failed, j.Resumed, j.ShardsDone = 0, 0, 0, 0
 		s.m.queueDepth.Inc()
 		s.mu.Unlock()
 		jlog.Info("job interrupted by drain; will resume on restart")
 		return
 	default:
-		j.state = api.StateFailed
-		j.errMsg = err.Error()
+		j.State, j.Error = api.StateFailed, err.Error()
 	}
-	j.finished = time.Now().UTC()
-	j.trials = nil // terminal: the compiled grid is never run again
-	s.m.finished.With(string(j.state)).Inc()
-	final := j.status()
-	s.mu.Unlock()
-
-	if perr := s.persist(j.id, jobRecord{JobStatus: *final}); perr != nil {
-		jlog.Error("persisting completion failed", "err", perr)
-	}
-	jlog.Info("job finished", "name", j.name, "state", final.State,
+	final := s.finish(j)
+	jlog.Info("job finished", "name", j.Name, "state", final.State,
 		"done", final.Done, "trials", final.Trials,
 		"failed", final.Failed, "resumed", final.Resumed)
+}
+
+// finish completes j's terminal transition, whose state the caller has
+// set under s.mu: it stamps Finished and releases s.mu, then appends
+// the terminal record to the journal and closes the event stream with
+// the final status, which it returns.
+func (s *Server) finish(j *job) *api.JobStatus {
+	now := time.Now().UTC()
+	j.Finished = &now
+	s.m.finished.With(string(j.State)).Inc()
+	final := j.status()
+	s.mu.Unlock()
+	if err := s.persist(j.ID, jobRecord{JobStatus: *final}); err != nil {
+		s.logger.Error("persisting terminal status failed", "job", j.ID, "err", err)
+	}
 	j.hub.Publish(api.Event{Type: api.EventDone, State: final.State, Status: final})
 	j.hub.Close()
+	return final
 }
 
 // cancelJob handles DELETE: a queued job finishes immediately as
@@ -276,22 +239,11 @@ func (s *Server) runJob(j *job) {
 // left as they are (idempotent cancel).
 func (s *Server) cancelJob(j *job) *api.JobStatus {
 	s.mu.Lock()
-	switch j.state {
+	switch j.State {
 	case api.StateQueued:
-		j.state = api.StateCancelled
-		j.userCancel = true
-		j.finished = time.Now().UTC()
-		j.trials = nil
+		j.State, j.userCancel = api.StateCancelled, true
 		s.m.queueDepth.Dec()
-		s.m.finished.With(string(j.state)).Inc()
-		final := j.status()
-		s.mu.Unlock()
-		if perr := s.persist(j.id, jobRecord{JobStatus: *final}); perr != nil {
-			s.logger.Error("persisting cancellation failed", "job", j.id, "err", perr)
-		}
-		j.hub.Publish(api.Event{Type: api.EventDone, State: final.State, Status: final})
-		j.hub.Close()
-		return final
+		return s.finish(j)
 	case api.StateRunning:
 		j.userCancel = true
 		cancel := j.cancelRun

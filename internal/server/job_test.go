@@ -4,28 +4,25 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"runtime"
 	"testing"
 	"time"
-	"weak"
 
 	"repro/ftsim"
 	"repro/ftsim/api"
 )
 
-// TestRecoveredTerminalJobsBuildNoPrograms: a restarted daemon reloads
+// TestRecoveredTerminalJobsKeepTrialCounts: a restarted daemon reloads
 // finished jobs — done, cancelled while queued, cancelled while running
-// — as history without compiling their trials, and each job reports
-// the same trial count before and after the restart.
-func TestRecoveredTerminalJobsBuildNoPrograms(t *testing.T) {
+// — as history, and each job reports the same trial count before and
+// after the restart.
+func TestRecoveredTerminalJobsKeepTrialCounts(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newTestServer(t, Config{Concurrency: 1, DataDir: dir})
 
-	held := func(s *Server, id string) (programs bool, trials int) {
+	trials := func(s *Server, id string) int {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		j := s.jobs[id]
-		return j.trials != nil, j.status().Trials
+		return s.jobs[id].status().Trials
 	}
 
 	done := submit(t, ts, "", &api.CampaignRequest{
@@ -55,8 +52,8 @@ func TestRecoveredTerminalJobsBuildNoPrograms(t *testing.T) {
 
 	want := map[string]int{done.ID: 2, queued.ID: 3, blocker.ID: 1}
 	for id, n := range want {
-		if _, trials := held(s, id); trials != n {
-			t.Errorf("job %s: %d trials, want %d", id, trials, n)
+		if got := trials(s, id); got != n {
+			t.Errorf("job %s: %d trials, want %d", id, got, n)
 		}
 	}
 
@@ -68,16 +65,16 @@ func TestRecoveredTerminalJobsBuildNoPrograms(t *testing.T) {
 	assertOnlyJournals(t, dir, done.ID, blocker.ID, queued.ID)
 	restarted, _ := newTestServer(t, Config{Concurrency: 1, DataDir: dir})
 	for id, n := range want {
-		if programs, trials := held(restarted, id); programs || trials != n {
-			t.Errorf("recovered job %s: programs built %v, %d trials; want none built, %d trials", id, programs, trials, n)
+		if got := trials(restarted, id); got != n {
+			t.Errorf("recovered job %s: %d trials, want %d", id, got, n)
 		}
 	}
 }
 
 // TestProgramTable: every job that names a Table 2 program runs the
-// daemon's one build of it, while a coordinator (any non-local
-// backend) compiles nothing yet still refuses unknown names and bad
-// assembly.
+// daemon's one build of it, and admission, on a coordinator too,
+// refuses unknown names and bad assembly and labels trials by grid
+// index.
 func TestProgramTable(t *testing.T) {
 	s, err := New(Config{})
 	if err != nil {
@@ -95,8 +92,16 @@ func TestProgramTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a.trials {
-		if a.trials[i].Program != b.trials[i].Program {
+	for i := range a.req.Trials {
+		pa, err := s.program(&a.req.Trials[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb, err := s.program(&b.req.Trials[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pa != pb {
 			t.Errorf("trial %d: two submissions got two builds of %s", i, a.req.Trials[i].Benchmark)
 		}
 	}
@@ -113,9 +118,6 @@ func TestProgramTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.trials != nil {
-		t.Error("coordinator compiled the grid")
-	}
 	if got := j.req.Trials[1].Label; got != "1/swim" {
 		t.Errorf("coordinator label %q, want 1/swim", got)
 	}
@@ -131,53 +133,4 @@ type stubBackend struct{}
 
 func (stubBackend) Run(context.Context, *Job) (*Result, error) {
 	return nil, errors.New("stub backend runs nothing")
-}
-
-// TestFinishedJobDropsTrials: a job that finishes (done, cancelled
-// while running, cancelled while queued) keeps no compiled trials, and
-// its assembled program becomes garbage.
-func TestFinishedJobDropsTrials(t *testing.T) {
-	s, ts := newTestServer(t, Config{Concurrency: 1})
-	del := func(id string) {
-		req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/campaigns/"+id, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-	}
-
-	blocker := submit(t, ts, "", &api.CampaignRequest{Trials: []api.TrialSpec{blockerTrial()}})
-	waitState(t, ts, blocker.ID, api.StateRunning)
-	live := submit(t, ts, "", &api.CampaignRequest{Trials: []api.TrialSpec{quickTrial("a")}})
-	dropped := submit(t, ts, "", &api.CampaignRequest{Trials: []api.TrialSpec{quickTrial("b")}})
-	s.mu.Lock()
-	j := s.jobs[live.ID]
-	if j.state != api.StateQueued || len(j.trials) != 1 {
-		s.mu.Unlock()
-		t.Fatalf("second job: state %s, %d trials; want queued with 1", j.state, len(j.trials))
-	}
-	asm := weak.Make(j.trials[0].Program)
-	s.mu.Unlock()
-
-	del(dropped.ID)
-	del(blocker.ID)
-	waitState(t, ts, live.ID, api.StateDone)
-	for _, id := range []string{blocker.ID, live.ID, dropped.ID} {
-		s.mu.Lock()
-		trials := s.jobs[id].trials
-		s.mu.Unlock()
-		if trials != nil {
-			t.Errorf("finished job %s holds %d trials", id, len(trials))
-		}
-	}
-	for i := 0; i < 5 && asm.Value() != nil; i++ {
-		runtime.GC()
-	}
-	if asm.Value() != nil {
-		t.Error("the finished job's assembled program is still reachable")
-	}
 }

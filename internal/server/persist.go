@@ -2,12 +2,12 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -93,57 +93,38 @@ func (s *Server) recover() error {
 		}
 		recs = append(recs, rec)
 	}
-	sort.Slice(recs, func(i, k int) bool {
-		if !recs[i].Submitted.Equal(recs[k].Submitted) {
-			return recs[i].Submitted.Before(recs[k].Submitted)
-		}
-		return recs[i].ID < recs[k].ID
+	slices.SortFunc(recs, func(a, b *jobRecord) int {
+		return cmp.Or(a.Submitted.Compare(b.Submitted), strings.Compare(a.ID, b.ID))
 	})
 
 	requeued := 0
 	for _, rec := range recs {
-		var j *job
-		var err error
-		if rec.State.Terminal() {
-			// History only. Note 1 holds the resolved request, so no
-			// programs are built for it.
-			j = &job{owner: rec.Owner, req: rec.Request, state: rec.State,
-				done: rec.Done, failed: rec.Failed, resumed: rec.Resumed,
-				errMsg: rec.Error, statsJSON: rec.Stats}
-			if rec.Started != nil {
-				j.started = *rec.Started
+		rec.Trials = len(rec.Request.Trials) // older records omit it
+		j := &job{JobStatus: rec.JobStatus, req: rec.Request, hub: sse.NewHub(rec.ID, s.m.sse)}
+		s.jobs[j.ID] = j
+		s.order = append(s.order, j.ID)
+		if !j.State.Terminal() {
+			// Interrupted: re-admitted through the submission path. A job
+			// that validated at submission should again; if it no longer
+			// does (e.g. a hand-edited record), surface it as a failed
+			// job rather than refusing to start the daemon.
+			_, err := s.buildJob(j.req, j.Owner)
+			if err == nil {
+				j.State = api.StateQueued // older records carry no state
+				s.fifo = append(s.fifo, j)
+				s.m.queueDepth.Inc()
+				j.hub.Publish(api.Event{Type: api.EventState, State: api.StateQueued})
+				requeued++
+				continue
 			}
-			if rec.Finished != nil {
-				j.finished = *rec.Finished
-			}
-		} else if j, err = s.buildJob(rec.Request, rec.Owner); err != nil {
-			// A job that validated at submission should rebuild; if it no
-			// longer does (e.g. a hand-edited record), surface it as a
-			// failed job rather than refusing to start the daemon.
-			s.logger.Warn("job rebuild failed", "job", rec.ID, "err", err)
-			j = &job{owner: rec.Owner, req: rec.Request, state: api.StateFailed,
-				errMsg: fmt.Sprintf("rebuild after restart: %v", err)}
-			j.finished = time.Now().UTC()
+			s.logger.Warn("job rebuild failed", "job", j.ID, "err", err)
+			now := time.Now().UTC()
+			j.State, j.Error, j.Finished = api.StateFailed, fmt.Sprintf("rebuild after restart: %v", err), &now
 		}
-		j.id = rec.ID
-		j.name = rec.Name
-		j.submitted = rec.Submitted
-		j.hub = sse.NewHub(j.id, s.m.sse)
-
-		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
-		switch {
-		case j.state == api.StateQueued:
-			s.fifo = append(s.fifo, j)
-			s.m.queueDepth.Inc()
-			j.hub.Publish(api.Event{Type: api.EventState, State: api.StateQueued})
-			requeued++
-		default:
-			// Terminal (or failed-to-rebuild): the stream replays the
-			// final state and closes immediately.
-			j.hub.Publish(api.Event{Type: api.EventDone, State: j.state, Status: j.status()})
-			j.hub.Close()
-		}
+		// Terminal: history only, whose stream replays the final state
+		// and closes immediately.
+		j.hub.Publish(api.Event{Type: api.EventDone, State: j.State, Status: j.status()})
+		j.hub.Close()
 	}
 	if len(recs) > 0 {
 		s.logger.Info("recovered jobs from data dir",

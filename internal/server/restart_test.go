@@ -413,3 +413,55 @@ func TestRestartOnParentDataDir(t *testing.T) {
 	}
 	assertOnlyJournals(t, dir, ids...)
 }
+
+// TestUnlabeledAsmResumesAfterDrain: a job whose assembly trials carry
+// no label, drained mid-grid, resumes on a daemon restarted on the same
+// data directory. Each program is named from its trial's resolved
+// label at admission, at run and after the restart, so the resumed
+// campaign hashes as the journal's did; its stats are byte-identical
+// to an uninterrupted run's.
+func TestUnlabeledAsmResumesAfterDrain(t *testing.T) {
+	unlabeled := func() *api.CampaignRequest {
+		req := crashRequest()
+		for i := range req.Trials {
+			req.Trials[i].Label = ""
+		}
+		return req
+	}
+	dir := t.TempDir()
+	cfg := Config{Concurrency: 1, FlushEvery: 1, DataDir: dir}
+	s1, ts1 := newTestServer(t, cfg)
+	id := submit(t, ts1, "", unlabeled()).ID
+	for deadline := time.Now().Add(30 * time.Second); getStatus(t, ts1, id).Done < 2; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("two trials never completed")
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if err := s1.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st := getStatus(t, ts1, id); st.State != api.StateQueued {
+		t.Fatalf("drained job is %s, want queued; grow the trials", st.State)
+	}
+
+	_, ts2 := newTestServer(t, cfg)
+	var final *api.JobStatus
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if final = getStatus(t, ts2, id); final.State.Terminal() || time.Now().After(deadline) {
+			break
+		}
+	}
+	if final.State != api.StateDone || final.Resumed < 1 {
+		t.Fatalf("restarted job: state %s, resumed %d (error %q); want done with trials resumed",
+			final.State, final.Resumed, final.Error)
+	}
+	t.Logf("resumed %d of %d trials", final.Resumed, final.Trials)
+
+	_, ctl := newTestServer(t, Config{Concurrency: 1})
+	ref := waitState(t, ctl, submit(t, ctl, "", unlabeled()).ID, api.StateDone)
+	if !bytes.Equal(final.Stats, ref.Stats) {
+		t.Errorf("resumed stats differ from an uninterrupted run:\nresumed: %s\ncontrol: %s", final.Stats, ref.Stats)
+	}
+}

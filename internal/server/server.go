@@ -143,7 +143,8 @@ type Server struct {
 
 	// programs is the daemon's table of Table 2 programs: each is built
 	// on the first job that runs it locally and shared by every later
-	// one (a Program is immutable and loads concurrently).
+	// one (a Program is immutable and loads concurrently). Admission
+	// only looks names up in it.
 	programs map[string]func() (*ftsim.Program, error)
 
 	admission sync.Mutex // serialises admit; taken before mu
@@ -307,7 +308,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.cond.Signal()
 
 	s.log(r.Context()).Info("job queued",
-		"job", j.id, "name", j.name, "trials", st.Trials, "client", j.owner)
+		"job", j.ID, "name", j.Name, "trials", st.Trials, "client", j.Owner)
 	j.hub.Publish(api.Event{Type: api.EventState, State: api.StateQueued})
 	writeJSON(w, http.StatusAccepted, st)
 }
@@ -332,12 +333,12 @@ func (s *Server) admit(j *job) (*api.JobStatus, int, error) {
 	}
 	queued, ownerJobs, ownerTrials := 0, 0, 0
 	for _, other := range s.jobs {
-		if other.state == api.StateQueued {
+		if other.State == api.StateQueued {
 			queued++
 		}
-		if other.owner == j.owner && !other.state.Terminal() {
+		if other.Owner == j.Owner && !other.State.Terminal() {
 			ownerJobs++
-			ownerTrials += len(other.req.Trials) - other.done
+			ownerTrials += other.Trials - other.Done
 		}
 	}
 	if queued >= s.cfg.MaxQueue {
@@ -345,30 +346,30 @@ func (s *Server) admit(j *job) (*api.JobStatus, int, error) {
 	}
 	if ownerJobs >= s.cfg.MaxQueuedPerClient {
 		return reject("client_jobs", http.StatusTooManyRequests,
-			"client %q has %d active jobs (limit %d)", j.owner, ownerJobs, s.cfg.MaxQueuedPerClient)
+			"client %q has %d active jobs (limit %d)", j.Owner, ownerJobs, s.cfg.MaxQueuedPerClient)
 	}
-	if ownerTrials+len(j.req.Trials) > s.cfg.MaxTrialsPerClient {
+	if ownerTrials+j.Trials > s.cfg.MaxTrialsPerClient {
 		return reject("client_trials", http.StatusTooManyRequests,
 			"client %q would have %d trials in flight (limit %d)",
-			j.owner, ownerTrials+len(j.req.Trials), s.cfg.MaxTrialsPerClient)
+			j.Owner, ownerTrials+j.Trials, s.cfg.MaxTrialsPerClient)
 	}
-	j.id = newJobID()
-	for s.jobs[j.id] != nil {
-		j.id = newJobID()
+	j.ID = newJobID()
+	for s.jobs[j.ID] != nil {
+		j.ID = newJobID()
 	}
-	j.submitted = time.Now().UTC()
+	j.Submitted = time.Now().UTC()
 	st := j.status()
 	s.mu.Unlock()
 
 	// A drain that starts now still finds the job durable and queued,
 	// so a restarted daemon runs it.
-	if err := s.persist(j.id, jobRecord{JobStatus: *st, Request: j.req}); err != nil {
+	if err := s.persist(j.ID, jobRecord{JobStatus: *st, Request: j.req}); err != nil {
 		return nil, http.StatusInternalServerError, fmt.Errorf("persisting job: %v", err)
 	}
-	j.hub = sse.NewHub(j.id, s.m.sse)
+	j.hub = sse.NewHub(j.ID, s.m.sse)
 	s.mu.Lock()
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
+	s.jobs[j.ID] = j
+	s.order = append(s.order, j.ID)
 	s.fifo = append(s.fifo, j)
 	s.m.submitted.Inc()
 	s.m.queueDepth.Inc() // gauge transitions happen under s.mu, like the states they mirror
@@ -416,7 +417,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := s.cancelJob(j)
-	s.log(r.Context()).Info("job cancel requested", "job", j.id, "state", st.State)
+	s.log(r.Context()).Info("job cancel requested", "job", j.ID, "state", st.State)
 	writeJSON(w, http.StatusOK, st)
 }
 
@@ -433,7 +434,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Draining: s.draining,
 	}
 	for _, j := range s.jobs {
-		switch j.state {
+		switch j.State {
 		case api.StateQueued:
 			h.Queued++
 		case api.StateRunning:

@@ -32,6 +32,7 @@ die() { echo "smoke: FAIL: $*" >&2; exit 1; }
 # start_daemon <data-dir> — launches ftsimd on a random port; sets
 # $addr and $daemon_pid.
 start_daemon() {
+  rm -f "$work/addr.txt" # a stale address would race the new daemon's
   "$work/ftsimd" -addr 127.0.0.1:0 -data-dir "$1" -flush-every 1 \
     > "$work/addr.txt" 2>> "$work/daemon.log" &
   daemon_pid=$!
@@ -86,10 +87,14 @@ say "phase 2: SIGKILL mid-campaign, restart, compare aggregates"
 cat > "$work/req.json" <<'EOF'
 {"name":"smoke-durability","seed":7,"workers":1,"trials":[
 EOF
+# Trials 3-5 carry no label: the daemon names their programs from the
+# labels it generates, which must survive the restart for the journal
+# to resume.
 for i in 0 1 2 3 4 5; do
   comma=$([ "$i" = 5 ] && echo "" || echo ",")
+  label=$([ "$i" -lt 3 ] && echo "\"label\":\"t$i\"," || echo "")
   cat >> "$work/req.json" <<EOF
- {"label":"t$i","asm":"li r1, 400000\nloop: addi r1, r1, -1\n bne r1, r0, loop\n halt\n","config":{"max_insts":99000000,"max_cycles":990000000}}$comma
+ {$label"asm":"li r1, 400000\nloop: addi r1, r1, -1\n bne r1, r0, loop\n halt\n","config":{"max_insts":99000000,"max_cycles":990000000}}$comma
 EOF
 done
 echo ']}' >> "$work/req.json"
