@@ -38,7 +38,6 @@ func main() {
 	checkpoint := flag.String("checkpoint", "", "directory for per-experiment checkpoint journals; completed trials survive a killed run")
 	resume := flag.Bool("resume", false, "resume existing checkpoint journals, re-running only unfinished trials")
 	trialTimeout := flag.Duration("trial-timeout", 0, "per-trial deadline (0 = none); timed-out trials fail without aborting the grid when -contain is set")
-	retries := flag.Int("retries", 0, "retry attempts for timed-out trials")
 	contain := flag.Bool("contain", false, "keep a campaign running past trial failures; failed trials are listed in an error manifest")
 	metricsDump := flag.Bool("metrics-dump", false, "print campaign-engine metrics (Prometheus text) on stderr at exit")
 	version := flag.Bool("version", false, "print version and exit")
@@ -74,7 +73,6 @@ func main() {
 			ftsim.WithWorkers(*parallel),
 			ftsim.WithCampaignSeed(*seed),
 			ftsim.WithTrialTimeout(*trialTimeout),
-			ftsim.WithRetry(*retries, 0),
 		},
 	}
 	if !*contain {
@@ -161,8 +159,8 @@ func main() {
 			if fails := lastReport.Failures(); len(fails) > 0 {
 				fmt.Fprintf(os.Stderr, "%s: %d trial(s) failed:\n", name, len(fails))
 				for _, f := range fails {
-					fmt.Fprintf(os.Stderr, "  #%-3d %-32s seed %-20d attempts %d: %v\n",
-						f.Index, f.Label, f.Seed, f.Attempts, f.Err)
+					fmt.Fprintf(os.Stderr, "  #%-3d %-32s seed %d: %v\n",
+						f.Index, f.Label, f.Seed, f.Err)
 				}
 			}
 		}

@@ -65,8 +65,6 @@ type campaignOpts struct {
 	checkpoint   string
 	flushEvery   int
 	trialTimeout time.Duration
-	retries      int
-	backoff      time.Duration
 	failFast     bool
 	metrics      *campaign.Metrics
 	seedIndex    func(trial int) int
@@ -143,20 +141,11 @@ func WithCheckpointFlushEvery(n int) CampaignOption {
 	return func(o *campaignOpts) { o.flushEvery = n }
 }
 
-// WithTrialTimeout bounds each trial attempt with a per-trial deadline
-// (delivered through the trial's context into the pipeline loop); an
-// attempt exceeding it fails with ErrTrialTimeout.
+// WithTrialTimeout bounds each trial with a per-trial deadline
+// (delivered through the trial's context into the pipeline loop); a
+// trial exceeding it fails with ErrTrialTimeout.
 func WithTrialTimeout(d time.Duration) CampaignOption {
 	return func(o *campaignOpts) { o.trialTimeout = d }
-}
-
-// WithRetry re-attempts trials that time out (ErrTrialTimeout, see
-// WithTrialTimeout) up to retries additional times, waiting backoff
-// before the first retry and doubling it for each subsequent one, up
-// to 2s (backoff <= 0 selects a 50ms default). Other failures are
-// deterministic and never retried.
-func WithRetry(retries int, backoff time.Duration) CampaignOption {
-	return func(o *campaignOpts) { o.retries = retries; o.backoff = backoff }
 }
 
 // WithFailFast disables fault containment: the first trial failure
@@ -228,8 +217,6 @@ func RunCampaign(ctx context.Context, name string, trials []Trial, opts ...Campa
 		Progress:     o.progress,
 		Contain:      !o.failFast,
 		TrialTimeout: o.trialTimeout,
-		Retries:      o.retries,
-		RetryBackoff: o.backoff,
 		Metrics:      o.metrics,
 	}
 	if o.checkpoint != "" {

@@ -13,13 +13,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/ftsim/api"
-	"repro/internal/backoff"
 )
 
 // Client talks to one ftsimd daemon. The zero value is not usable;
@@ -34,18 +31,6 @@ type Client struct {
 	// was started with), sent as "Authorization: Bearer <token>". Empty
 	// sends no credential, which open daemons accept.
 	AuthToken string
-	// Retries is the number of additional attempts for transiently
-	// failed requests: transport errors (connection refused, reset) and
-	// 5xx responses. 0 disables retrying. 4xx responses other than 429
-	// are never retried — the request itself is wrong. Note a transport
-	// error leaves unknown whether the daemon acted on the request: a
-	// Submit retried after a half-open connection can queue the job
-	// twice, and neither this client nor the coordinator, which submits
-	// shards with retries, detects or cancels the duplicate.
-	Retries int
-	// RetryBackoff is the wait before the first retry, doubled each
-	// further attempt and capped at 2s. <= 0 means 100ms.
-	RetryBackoff time.Duration
 	// HTTPClient overrides http.DefaultClient when set. Watch streams
 	// indefinitely; a client with a global Timeout will cut streams off.
 	HTTPClient *http.Client
@@ -68,37 +53,12 @@ func (c *Client) setHeaders(req *http.Request) {
 	}
 }
 
-// transientError reports whether a do() failure is worth retrying:
-// the request never got a verdict (transport error) or the daemon
-// itself was the problem (5xx) or explicitly asked for later (429).
-// Other 4xx responses are caller errors; retrying cannot fix them.
-func transientError(err error) bool {
-	var apiErr *api.Error
-	if errors.As(err, &apiErr) {
-		return apiErr.StatusCode >= 500 || apiErr.StatusCode == http.StatusTooManyRequests
-	}
-	var urlErr *url.Error
-	return errors.As(err, &urlErr)
-}
-
-// do issues a request and decodes the JSON response into out,
-// retrying transient failures up to Retries extra times with capped
-// exponential backoff. Error responses decode the service's JSON error
-// body into the returned error.
+// do issues one request and decodes the JSON response into out. Error
+// responses decode the service's JSON error body into the returned
+// error. Nothing is retried: a request whose response was lost may
+// still have been acted on (a Submit may have queued its job), and only
+// the caller can tell whether sending it again is safe.
 func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
-	wait := backoff.New(c.RetryBackoff, 100*time.Millisecond)
-	for attempt := 0; ; attempt++ {
-		err := c.doOnce(ctx, method, path, body, out)
-		if err == nil || attempt >= c.Retries || !transientError(err) {
-			return err
-		}
-		if !wait.Wait(ctx) {
-			return err
-		}
-	}
-}
-
-func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, out any) error {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)

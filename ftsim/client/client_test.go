@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -195,5 +197,53 @@ func TestClientErrors(t *testing.T) {
 	_, err = c.Status(ctx, "nope")
 	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job: %v", err)
+	}
+}
+
+// TestClientNoRetryOn4xx: every request is sent once. An error
+// response, a 4xx or a 5xx alike, reaches the caller as an *api.Error
+// after exactly one hit on the daemon.
+func TestClientNoRetryOn4xx(t *testing.T) {
+	for _, status := range []int{http.StatusBadRequest, http.StatusServiceUnavailable} {
+		var hits atomic.Int32
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			n := hits.Add(1)
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(status)
+			fmt.Fprintf(w, `{"error": "induced failure %d"}`, n)
+		}))
+		c := &client.Client{BaseURL: ts.URL}
+		_, err := c.Status(context.Background(), "c123")
+		ts.Close()
+		var apiErr *api.Error
+		if !errors.As(err, &apiErr) || apiErr.StatusCode != status {
+			t.Fatalf("got %v, want %d api.Error", err, status)
+		}
+		if hits.Load() != 1 {
+			t.Errorf("%d was attempted %d times, want exactly 1", status, hits.Load())
+		}
+	}
+}
+
+// TestClientAuthToken: against a token-locked daemon, a client without
+// the credential gets a 401 and one with it works.
+func TestClientAuthToken(t *testing.T) {
+	const token = "swordfish"
+	c := startDaemon(t, server.Config{AuthToken: token})
+	ctx := context.Background()
+
+	bare := &client.Client{BaseURL: c.BaseURL}
+	_, err := bare.List(ctx)
+	var apiErr *api.Error
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusUnauthorized {
+		t.Fatalf("unauthenticated list: %v, want 401 api.Error", err)
+	}
+
+	authed := &client.Client{BaseURL: c.BaseURL, AuthToken: token}
+	if _, err := authed.List(ctx); err != nil {
+		t.Fatalf("authenticated list: %v", err)
+	}
+	if _, err := authed.Health(ctx); err != nil {
+		t.Fatalf("health with token: %v", err)
 	}
 }

@@ -1,7 +1,6 @@
-// Package backoff is the retry wait shared by the campaign runner's
-// trial retries, the coordinator's shard redispatch and the service
-// client: a context-aware sleep whose delay doubles after every wait
-// and stops growing at Max.
+// Package backoff is the wait between the coordinator's shard
+// redispatches: a context-aware sleep whose delay doubles after every
+// wait and stops growing at Max.
 package backoff
 
 import (
@@ -20,12 +19,8 @@ type Backoff struct {
 	delay time.Duration
 }
 
-// New returns a schedule whose first wait is first, or def when first
-// is not positive.
-func New(first, def time.Duration) Backoff {
-	if first <= 0 {
-		first = def
-	}
+// New returns a schedule whose first wait is first.
+func New(first time.Duration) Backoff {
 	return Backoff{delay: first}
 }
 

@@ -6,12 +6,12 @@ import (
 	"time"
 )
 
-// TestDelayStopsAtCap: from the campaign runner's 50 ms default, the
+// TestDelayStopsAtCap: from the coordinator's 50 ms default, the
 // delay doubles to the cap and then stays there, however many retries
 // follow — the twelfth wait is 2 s, not 102 s, and a thousand doublings
 // never overflow.
 func TestDelayStopsAtCap(t *testing.T) {
-	b := New(0, 50*time.Millisecond)
+	b := New(50 * time.Millisecond)
 	want := []time.Duration{50, 100, 200, 400, 800, 1600, 2000, 2000}
 	for i, w := range want {
 		if b.delay != w*time.Millisecond {
@@ -26,20 +26,17 @@ func TestDelayStopsAtCap(t *testing.T) {
 		t.Errorf("delay after 1000 more retries %v, want %v", b.delay, Max)
 	}
 
-	big := New(5*time.Second, 0)
+	big := New(5 * time.Second)
 	big.grow()
 	if big.delay != 5*time.Second {
 		t.Errorf("first delay above the cap grew to %v", big.delay)
-	}
-	if b := New(30*time.Millisecond, 50*time.Millisecond); b.delay != 30*time.Millisecond {
-		t.Errorf("explicit first delay replaced by default: %v", b.delay)
 	}
 }
 
 // TestWait: Wait sleeps at least the current delay, and returns false
 // promptly once the context is done.
 func TestWait(t *testing.T) {
-	b := New(2*time.Millisecond, 0)
+	b := New(2 * time.Millisecond)
 	start := time.Now()
 	if !b.Wait(context.Background()) {
 		t.Fatal("Wait on a live context reported cancellation")
@@ -53,7 +50,7 @@ func TestWait(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	b = New(time.Hour, 0)
+	b = New(time.Hour)
 	start = time.Now()
 	if b.Wait(ctx) {
 		t.Fatal("Wait on a cancelled context reported a full wait")

@@ -76,9 +76,6 @@ type Result struct {
 	Stats   *cpu.Stats // nil unless the trial succeeded
 	Err     error
 	Elapsed time.Duration
-	// Attempts is how many times the trial executed (1 + retries
-	// consumed); 0 for trials that never ran because dispatch stopped.
-	Attempts int
 }
 
 // Failed reports whether the trial failed for a real reason: its error
@@ -157,11 +154,10 @@ func (r *Report) Err() error {
 
 // TrialFailure is one entry of a campaign's error manifest.
 type TrialFailure struct {
-	Index    int
-	Label    string
-	Seed     int64
-	Attempts int
-	Err      error
+	Index int
+	Label string
+	Seed  int64
+	Err   error
 }
 
 // Failures returns the error manifest: every trial that Failed, in
@@ -175,13 +171,7 @@ func (r *Report) Failures() []TrialFailure {
 		if !res.Failed() {
 			continue
 		}
-		out = append(out, TrialFailure{
-			Index:    i,
-			Label:    res.Label,
-			Seed:     res.Seed,
-			Attempts: res.Attempts,
-			Err:      res.Err,
-		})
+		out = append(out, TrialFailure{Index: i, Label: res.Label, Seed: res.Seed, Err: res.Err})
 	}
 	return out
 }
@@ -225,19 +215,12 @@ type Runner struct {
 	// *TrialPanicError either way — a containment wrapper always
 	// isolates a crashing trial from the worker pool.
 	Contain bool
-	// TrialTimeout, when positive, bounds each trial attempt with a
-	// per-trial deadline delivered through the trial's context; an
-	// attempt that exceeds it fails with *TrialTimeoutError. The
-	// deadline is cooperative — trials must plumb their context into
-	// the simulation loop for it to bite.
+	// TrialTimeout, when positive, bounds each trial with a deadline
+	// delivered through the trial's context; a trial that exceeds it
+	// fails with *TrialTimeoutError. The deadline is cooperative —
+	// trials must plumb their context into the simulation loop for it
+	// to bite.
 	TrialTimeout time.Duration
-	// Retries is how many additional attempts a trial that timed out
-	// (ErrTrialTimeout) gets before it is declared failed. 0 disables
-	// retry.
-	Retries int
-	// RetryBackoff is the delay before the first retry, doubling per
-	// subsequent retry up to 2s; <= 0 means 50ms.
-	RetryBackoff time.Duration
 
 	// Checkpoint, when non-nil, journals completed trials to disk and
 	// resumes a matching journal: already-recorded trials are restored
@@ -245,10 +228,9 @@ type Runner struct {
 	Checkpoint *Checkpoint
 
 	// Metrics, when non-nil, receives the runner's instrumentation:
-	// trial durations and outcomes, retry counts, resumed trials, and
-	// checkpoint fsync activity. A pure tap — results are identical
-	// with and without it — that may be shared across concurrent
-	// campaigns.
+	// trial durations and outcomes, resumed trials, and checkpoint
+	// fsync activity. A pure tap — results are identical with and
+	// without it — that may be shared across concurrent campaigns.
 	Metrics *Metrics
 }
 
@@ -352,7 +334,7 @@ func (r Runner) Run(ctx context.Context, spec Spec) (*Report, error) {
 					t := spec.Trials[idx]
 					res := Result{Index: idx, Label: t.Label, Seed: spec.trialSeed(idx)}
 					t0 := time.Now()
-					res.Stats, res.Attempts, res.Err = r.runTrial(ctx, t, res.Seed)
+					res.Stats, res.Err = r.runTrial(ctx, t, res.Seed)
 					res.Elapsed = time.Since(t0)
 					rep.Results[idx] = res
 					if res.Err != nil && !r.Contain {
@@ -361,7 +343,7 @@ func (r Runner) Run(ctx context.Context, spec Spec) (*Report, error) {
 					mu.Lock()
 					done++
 					rep.TrialSeconds.Add(res.Elapsed.Seconds())
-					r.Metrics.trialFinished(outcomeOf(res.Err), res.Elapsed.Seconds(), res.Attempts)
+					r.Metrics.trialFinished(outcomeOf(res.Err), res.Elapsed.Seconds())
 					if jw != nil && res.Err == nil {
 						jw.append(res)
 					}

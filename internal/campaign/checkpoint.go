@@ -77,11 +77,10 @@ type journalHeader struct {
 
 // journalRecord is one completed trial as stored on disk.
 type journalRecord struct {
-	index    int
-	seed     int64
-	attempts int
-	elapsed  time.Duration
-	value    []byte
+	index   int
+	seed    int64
+	elapsed time.Duration
+	value   []byte
 }
 
 // parseJournal scans data as a sequence of [u32 length][snap blob]
@@ -133,7 +132,7 @@ scan:
 			hdr = &h
 		case hdr != nil && kind == recTrial:
 			rec := journalRecord{index: int(r.U32()), seed: r.I64()}
-			rec.attempts = int(r.U32())
+			r.U32() // attempts, always 1 (see trialFrame)
 			rec.elapsed = time.Duration(r.I64())
 			rec.value = r.Bytes()
 			if r.Done() != nil {
@@ -172,7 +171,7 @@ func trialFrame(res Result, value []byte) []byte {
 	w.U8(recTrial)
 	w.U32(uint32(res.Index))
 	w.I64(res.Seed)
-	w.U32(uint32(res.Attempts))
+	w.U32(1) // attempts: a trial runs once; the field keeps the frame layout
 	w.I64(int64(res.Elapsed))
 	w.Bytes(value)
 	return frame(w.Finish())
@@ -339,12 +338,11 @@ func (c *Checkpoint) resume(spec Spec, hdr *journalHeader, recs []journalRecord)
 			return nil, fmt.Errorf("campaign: checkpoint %s: decode trial %d: %w", c.Path, rec.index, err)
 		}
 		res := Result{
-			Index:    rec.index,
-			Label:    spec.Trials[rec.index].Label,
-			Seed:     rec.seed,
-			Stats:    st,
-			Elapsed:  rec.elapsed,
-			Attempts: rec.attempts,
+			Index:   rec.index,
+			Label:   spec.Trials[rec.index].Label,
+			Seed:    rec.seed,
+			Stats:   st,
+			Elapsed: rec.elapsed,
 		}
 		if slot, ok := byIndex[rec.index]; ok {
 			out[slot] = res

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -85,15 +84,17 @@ func TestContainPanickingTrial(t *testing.T) {
 		}
 	}
 	fails := rep.Failures()
-	if len(fails) != 1 || fails[0].Index != 3 || fails[0].Attempts != 1 {
-		t.Fatalf("Failures() = %+v, want exactly trial 3 with 1 attempt", fails)
+	if len(fails) != 1 || fails[0].Index != 3 {
+		t.Fatalf("Failures() = %+v, want exactly trial 3", fails)
 	}
 }
 
 func TestFailFastStopsDispatch(t *testing.T) {
 	boom := errors.New("hard failure")
 	// 15 trials on one worker dispatch one trial at a time.
+	ran := 0
 	spec := squareSpec(15, func(i int) error {
+		ran++
 		if i == 0 {
 			return boom
 		}
@@ -102,12 +103,6 @@ func TestFailFastStopsDispatch(t *testing.T) {
 	rep, err := Runner{Workers: 1}.Run(context.Background(), spec)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the trial failure", err)
-	}
-	ran := 0
-	for _, res := range rep.Results {
-		if res.Attempts > 0 {
-			ran++
-		}
 	}
 	if ran == len(rep.Results) {
 		t.Fatal("fail-fast run dispatched the whole grid")
@@ -164,66 +159,28 @@ func TestParentCancellationIsNotATimeout(t *testing.T) {
 	}
 }
 
-// slowThenOK returns a trial whose first slow attempts outlive any
-// trial deadline (they end only when their context does) and whose
-// later attempts return statsOf(v) at once. calls counts the attempts.
-func slowThenOK(slow int, v uint64, calls *int) func(context.Context, int64) (*cpu.Stats, error) {
-	return func(ctx context.Context, seed int64) (*cpu.Stats, error) {
-		if *calls++; *calls <= slow {
-			<-ctx.Done()
-			return nil, ctx.Err()
-		}
-		return statsOf(v), nil
-	}
-}
-
-func TestRetryTransient(t *testing.T) {
-	calls := 0
-	spec := squareSpec(6, nil)
-	spec.Trials[4].Run = slowThenOK(2, 16, &calls)
-	rep, err := Runner{Workers: 1, TrialTimeout: 20 * time.Millisecond, Retries: 3, RetryBackoff: time.Millisecond}.
-		Run(context.Background(), spec)
-	if err != nil {
-		t.Fatalf("retries should have recovered the timed-out trial: %v", err)
-	}
-	if got := rep.Results[4].Attempts; got != 3 {
-		t.Fatalf("trial 4 attempts = %d, want 3", got)
-	}
-	if got := rep.Results[2].Attempts; got != 1 {
-		t.Fatalf("healthy trial attempts = %d, want 1", got)
-	}
-	if vals := committed(t, rep); vals[4] != 16 {
-		t.Fatalf("recovered trial value = %d, want 16", vals[4])
-	}
-}
-
-func TestRetryBudgetExhausted(t *testing.T) {
-	calls := 0
-	spec := squareSpec(1, nil)
-	spec.Trials[0].Run = slowThenOK(math.MaxInt, 0, &calls)
-	rep, err := Runner{TrialTimeout: 10 * time.Millisecond, Retries: 2, RetryBackoff: time.Millisecond, Contain: true}.
-		Run(context.Background(), spec)
-	if !errors.Is(err, ErrTrialTimeout) {
-		t.Fatalf("err = %v, want the exhausted timeout", err)
-	}
-	if calls != 3 {
-		t.Fatalf("trial ran %d times, want 1 + 2 retries", calls)
-	}
-	if rep.Results[0].Attempts != 3 {
-		t.Fatalf("Attempts = %d, want 3", rep.Results[0].Attempts)
-	}
-}
-
+// TestDeterministicFailuresNotRetried: a trial runs once, whatever
+// its outcome. A failing trial and one that outlives its deadline are
+// both deterministic simulations; running them again under the same
+// deadline would only repeat the verdict.
 func TestDeterministicFailuresNotRetried(t *testing.T) {
-	calls := 0
-	spec := squareSpec(1, func(i int) error {
-		calls++
+	calls := make([]int, 2)
+	spec := squareSpec(2, func(i int) error {
+		calls[i]++
 		return errors.New("deterministic bug")
 	})
-	Runner{Retries: 5, RetryBackoff: time.Millisecond, Contain: true}.
+	spec.Trials[1].Run = func(ctx context.Context, seed int64) (*cpu.Stats, error) {
+		calls[1]++
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	rep, _ := Runner{Workers: 1, TrialTimeout: 10 * time.Millisecond, Contain: true}.
 		Run(context.Background(), spec)
-	if calls != 1 {
-		t.Fatalf("non-retryable failure ran %d times, want 1", calls)
+	if calls[0] != 1 || calls[1] != 1 {
+		t.Fatalf("trials ran %v times, want [1 1]", calls)
+	}
+	if !errors.Is(rep.Results[1].Err, ErrTrialTimeout) {
+		t.Fatalf("slow trial: %v, want ErrTrialTimeout", rep.Results[1].Err)
 	}
 }
 

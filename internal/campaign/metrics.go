@@ -6,8 +6,7 @@ import (
 )
 
 // Trial outcome classes, the label values of the trials-total counter.
-// A trial has exactly one outcome: its final error (after retries)
-// decides the class.
+// A trial has exactly one outcome: its error decides the class.
 const (
 	OutcomeOK        = "ok"
 	OutcomePanic     = "panic"
@@ -47,8 +46,6 @@ type Metrics struct {
 	trialSeconds *obs.HistogramVec
 	// trials counts trials by outcome.
 	trials *obs.CounterVec
-	// retries counts extra attempts consumed by retryable failures.
-	retries *obs.Counter
 	// resumed counts trials restored from a checkpoint journal instead
 	// of executed.
 	resumed *obs.Counter
@@ -69,8 +66,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 			"Wall-clock duration of executed campaign trials.", nil, "outcome"),
 		trials: r.NewCounter("ftsim_trials_total",
 			"Campaign trials by terminal outcome.", "outcome"),
-		retries: r.NewCounter("ftsim_trial_retries_total",
-			"Extra attempts consumed by retryable trial failures.").With(),
 		resumed: r.NewCounter("ftsim_trials_resumed_total",
 			"Trials restored from a checkpoint journal instead of executed.").With(),
 		ckptSyncs: r.NewCounter("ftsim_checkpoint_syncs_total",
@@ -82,16 +77,13 @@ func NewMetrics(r *obs.Registry) *Metrics {
 	}
 }
 
-// trialFinished records one executed trial's final result.
-func (m *Metrics) trialFinished(outcome string, seconds float64, attempts int) {
+// trialFinished records one executed trial's result.
+func (m *Metrics) trialFinished(outcome string, seconds float64) {
 	if m == nil {
 		return
 	}
 	m.trials.With(outcome).Inc()
 	m.trialSeconds.With(outcome).Observe(seconds)
-	if attempts > 1 {
-		m.retries.Add(uint64(attempts - 1))
-	}
 }
 
 // trialsResumed records trials restored from a journal.

@@ -15,13 +15,11 @@ import (
 )
 
 // TestMetricsClassifyOutcomes: the trials-total counter partitions by
-// outcome — ok, failed, panic, timeout — and retries are counted. A
-// trial that times out once and then succeeds counts as ok.
+// outcome — ok, failed, panic, timeout.
 func TestMetricsClassifyOutcomes(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
 	boom := errors.New("boom")
-	flakyCalls := 0
 	spec := Spec{
 		Name: "outcomes",
 		Seed: 3,
@@ -33,20 +31,18 @@ func TestMetricsClassifyOutcomes(t *testing.T) {
 				<-ctx.Done() // only the per-trial deadline ends this
 				return nil, ctx.Err()
 			}},
-			{Label: "flaky", Run: slowThenOK(1, 1, &flakyCalls)},
 		},
 	}
 	r := Runner{
 		Workers: 2, Contain: true, Metrics: m,
 		TrialTimeout: 50 * time.Millisecond,
-		Retries:      2, RetryBackoff: time.Millisecond,
 	}
 	if _, err := r.Run(context.Background(), spec); err == nil {
 		t.Fatal("want a contained-failure summary error")
 	}
 
 	want := map[string]uint64{
-		OutcomeOK:      2, // ok, plus flaky recovering on its retry
+		OutcomeOK:      1,
 		OutcomeFailed:  1,
 		OutcomePanic:   1,
 		OutcomeTimeout: 1,
@@ -56,12 +52,8 @@ func TestMetricsClassifyOutcomes(t *testing.T) {
 			t.Errorf("trials_total{outcome=%q} = %d, want %d", outcome, got, n)
 		}
 	}
-	// flaky: 1 extra attempt. slow: 2 extra attempts, all timing out.
-	if got := m.retries.Value(); got != 3 {
-		t.Errorf("retries_total = %d, want 3", got)
-	}
-	if got := m.trialSeconds.With(OutcomeOK).Count(); got != 2 {
-		t.Errorf("trial_seconds{ok} count = %d, want 2", got)
+	if got := m.trialSeconds.With(OutcomeOK).Count(); got != 1 {
+		t.Errorf("trial_seconds{ok} count = %d, want 1", got)
 	}
 }
 
@@ -163,7 +155,7 @@ func TestMetricsArePureTap(t *testing.T) {
 func TestMetricsExposition(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
-	m.trialFinished(OutcomeOK, 0.25, 1)
+	m.trialFinished(OutcomeOK, 0.25)
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)

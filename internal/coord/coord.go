@@ -155,10 +155,6 @@ func New(cfg Config) (*Coordinator, error) {
 				BaseURL:   url,
 				Token:     "coordinator",
 				AuthToken: cfg.AuthToken,
-				// Transient submit/status hiccups are absorbed here;
-				// shard-level redispatch handles real worker loss.
-				Retries:      2,
-				RetryBackoff: cfg.RetryBackoff,
 			},
 		})
 	}
@@ -388,7 +384,7 @@ func (c *Coordinator) Run(ctx context.Context, j *server.Job) (*server.Result, e
 // worker failure with capped backoff.
 func (c *Coordinator) runShardWithRetry(ctx context.Context, j *server.Job, r shardRange,
 	mu *sync.Mutex, st *shardState, publishProgress func() (int, int)) error {
-	wait := backoff.New(c.cfg.RetryBackoff, 0) // New defaulted RetryBackoff
+	wait := backoff.New(c.cfg.RetryBackoff)
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.ShardAttempts; attempt++ {
 		if attempt > 0 {

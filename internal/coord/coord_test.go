@@ -5,8 +5,10 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -421,6 +423,47 @@ func TestKillWorkerMidGrid(t *testing.T) {
 	}
 	if v := metricValue(t, cl.reg, "ftsimd_coord_shards_dispatched_total"); v < 4 {
 		t.Errorf("dispatched counter %v, want >= 4 (3 shards + >=1 redispatch)", v)
+	}
+}
+
+// TestOneSubmitPerDispatch: a worker that refuses its first shard
+// submission with 503 sees exactly one POST per dispatch. The
+// coordinator's redispatch is the only retry; the client underneath
+// never re-sends a Submit, which would queue the shard twice if the
+// first copy had been admitted. The redispatched shard still merges
+// byte-identical to a single daemon.
+func TestOneSubmitPerDispatch(t *testing.T) {
+	req := func() *api.CampaignRequest {
+		return &api.CampaignRequest{Name: "refused", Seed: 3, Shards: 1, Trials: fig5Grid(4)}
+	}
+	_, controlTS := startServer(t, "control", server.Config{})
+	control := runToDone(t, &client.Client{BaseURL: controlTS.URL}, req())
+
+	worker, _ := startServer(t, "worker", server.Config{AuthToken: clusterToken})
+	var posts atomic.Int32
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/campaigns" {
+			if posts.Add(1) == 1 {
+				http.Error(w, `{"error": "induced refusal"}`, http.StatusServiceUnavailable)
+				return
+			}
+		}
+		worker.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(front.Close)
+
+	cl := newCluster(t, 0, Config{Workers: []string{front.URL}})
+	final := runToDone(t, cl.client, req())
+	if !bytes.Equal(final.Stats, control.Stats) {
+		t.Errorf("redispatched stats differ from control (%d vs %d bytes)",
+			len(final.Stats), len(control.Stats))
+	}
+	dispatched := metricValue(t, cl.reg, "ftsimd_coord_shards_dispatched_total")
+	if got := posts.Load(); float64(got) != dispatched {
+		t.Errorf("worker saw %d submissions for %v dispatches, want one each", got, dispatched)
+	}
+	if v := metricValue(t, cl.reg, "ftsimd_coord_shard_redispatches_total"); v != 1 {
+		t.Errorf("redispatch counter %v after one refusal, want 1", v)
 	}
 }
 

@@ -8,6 +8,8 @@
 #   3. a third run without -resume is refused (non-zero exit)
 #   4. -seed 0 and -seed 1 print identical tables (0 maps to 1)
 #   5. -exp all -quiet exits 0
+#   6. -trial-timeout 1ns -contain: every trial fails, the run exits
+#      non-zero, and the error manifest lists all 20 as timed out
 #
 # Run from the repository root: scripts/smoke_ftexp.sh
 set -euo pipefail
@@ -41,5 +43,17 @@ cmp -s "$work/seed0.txt" "$work/seed1.txt" || die "-seed 0 and -seed 1 differ"
 
 say "-exp all"
 "$ftexp" -exp all -insts 2000 -quiet > /dev/null
+
+say "failure manifest: every trial times out under -contain"
+if "$ftexp" -exp fig6 -insts 5000 -trial-timeout 1ns -contain -quiet > /dev/null 2> "$work/timeout.err"; then
+  die "a grid of timed-out trials exited 0"
+fi
+grep -q "20 trial(s) failed" "$work/timeout.err" ||
+  die "manifest does not report 20 failed trials: $(cat "$work/timeout.err")"
+grep '^  #' "$work/timeout.err" > "$work/manifest.txt"
+[ "$(wc -l < "$work/manifest.txt")" -eq 20 ] || die "manifest has $(wc -l < "$work/manifest.txt") lines, want 20"
+if grep -v "trial deadline exceeded" "$work/manifest.txt"; then
+  die "manifest lines above are not trial timeouts"
+fi
 
 say "PASS"
